@@ -5,6 +5,7 @@
 //! entity tagging and the feed path dominate, the close is a minor share.
 
 use crate::common::{self, Counts};
+use crate::probe::{Meter, Probe};
 use crate::report::Round;
 use crate::trace::{self, Hub, Makespan, Tracer};
 use crate::Workload;
@@ -77,12 +78,12 @@ impl Archive {
 }
 
 impl Workload for Archive {
-    fn round(&mut self, traced: bool) -> Round {
+    fn round(&mut self, traced: bool, probe: &mut Probe) -> Round {
         let mut round = Round::new(traced);
         let mut docs = self.input.docs.clone();
         let interner = &self.input.interner;
         let (p, dict_build_s, setup_s) =
-            common::set_up_timed(&self.input.universe, &self.config, interner);
+            common::set_up_timed(&self.input.universe, &self.config, interner, probe);
         let common::Pipeline { tagger, mut engine, handle } = p;
         round.setup_s = setup_s;
         let hub = Hub::new(&engine);
@@ -95,7 +96,7 @@ impl Workload for Archive {
         let mut visible_ok = Vec::with_capacity(self.slices.len());
         let mut published = Vec::with_capacity(self.slices.len());
 
-        let start = Instant::now();
+        let mut meter = Meter::start(probe);
         for (i, (tick, range)) in self.slices.iter().enumerate() {
             let tick_start = Instant::now();
             let tick_span = tr.begin("tick", tick.0);
@@ -123,8 +124,9 @@ impl Workload for Archive {
             published.push(handle.ranking());
             tr.end(s);
             tr.end(tick_span);
+            meter.boundary();
         }
-        round.wall_s = start.elapsed().as_secs_f64();
+        round.set_stream(meter.finish());
         round.docs = docs.len() as u64;
 
         for ((ok, got), want) in visible_ok.iter().zip(&published).zip(&self.reference) {

@@ -1,6 +1,8 @@
 //! Pieces every workload shares: engine set-up, entity tagging, the wait
 //! for a tick to become visible, and the per-layer figures of the close.
 
+use crate::env;
+use crate::probe::Probe;
 use crate::report::Round;
 use crate::trace::{HubSample, Makespan};
 use enblogue::datagen::entities::EntityUniverse;
@@ -15,22 +17,28 @@ pub struct Pipeline {
     pub handle: QueryHandle,
 }
 
-/// Set-ups timed per round; the round keeps the last pipeline.
-const SETUPS_PER_ROUND: usize = 3;
+/// Set-ups timed per round; the round keeps the last pipeline. A set-up
+/// takes well under a millisecond, so many are cheap and their median is
+/// steady.
+const SETUPS_PER_ROUND: usize = 15;
 
-/// [`set_up`] repeated [`SETUPS_PER_ROUND`] times: returns the last
-/// pipeline, its dictionary build time and every set-up time.
+/// [`set_up`] repeated [`SETUPS_PER_ROUND`] times, each between two
+/// probes of the host's speed: returns the last pipeline, its dictionary
+/// build time and every set-up time, all at the probe's reference speed.
 pub fn set_up_timed(
     universe: &EntityUniverse,
     config: &EnBlogueConfig,
     interner: &TagInterner,
+    probe: &mut Probe,
 ) -> (Pipeline, f64, Vec<f64>) {
     let mut times = Vec::with_capacity(SETUPS_PER_ROUND);
     let mut last = None;
     for _ in 0..SETUPS_PER_ROUND {
+        let before = probe.run();
         let (pipeline, dict_build_s, setup_s) = set_up(universe, config, interner);
-        times.push(setup_s);
-        last = Some((pipeline, dict_build_s));
+        let factor = Probe::factor(before, probe.run());
+        times.push(setup_s * factor);
+        last = Some((pipeline, dict_build_s * factor));
     }
     let (pipeline, dict_build_s) = last.expect("at least one set-up");
     (pipeline, dict_build_s, times)
@@ -38,19 +46,21 @@ pub fn set_up_timed(
 
 /// Set-up as a user pays it: build the entity dictionary, the tagger, the
 /// engine and its query handle. Returns the pipeline, the dictionary build
-/// time and the whole set-up time, in seconds.
+/// time and the whole set-up time, in process CPU seconds (set-up runs on
+/// one thread and never waits, so that is its wall time less any time the
+/// host stole).
 pub fn set_up(
     universe: &EntityUniverse,
     config: &EnBlogueConfig,
     interner: &TagInterner,
 ) -> (Pipeline, f64, f64) {
-    let start = Instant::now();
+    let start = env::Stamp::now();
     let gazetteer = dictionary(universe);
-    let dict_build_s = start.elapsed().as_secs_f64();
+    let dict_build_s = start.elapsed().cpu_s;
     let tagger = EntityTagger::new(gazetteer);
     let mut engine = EnBlogueEngine::new(config.clone());
     let handle = QueryHandle::attach(&mut engine, interner.clone(), ServeConfig::default());
-    let setup_s = start.elapsed().as_secs_f64();
+    let setup_s = start.elapsed().cpu_s;
     (Pipeline { tagger, engine, handle }, dict_build_s, setup_s)
 }
 

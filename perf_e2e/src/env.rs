@@ -1,8 +1,10 @@
 //! The run's stamp: machine, toolchain, revision, and the host contention
-//! the run saw (steal time) next to the CPU time it used.
+//! the run saw (steal time) next to the CPU time it used; and the clock the
+//! gated figures are timed with.
 
 use std::fs;
 use std::path::Path;
+use std::time::Instant;
 
 /// Kernel clock ticks per second for `/proc` CPU times (`USER_HZ`, 100 on
 /// every mainstream Linux build).
@@ -26,6 +28,68 @@ pub fn cpu_s() -> f64 {
     let fields: Vec<&str> = rest.split_whitespace().collect();
     let ticks = |i: usize| fields.get(i).and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.0);
     (ticks(11) + ticks(12)) / USER_HZ
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
+
+/// `CLOCK_PROCESS_CPUTIME_ID` on Linux.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU seconds of the whole process, every thread live or exited, at
+/// nanosecond resolution. On a kernel with paravirtual steal accounting
+/// (`CONFIG_PARAVIRT_TIME_ACCOUNTING`) the time the hypervisor stole is
+/// left out, so the figure does not grow with the host's contention the
+/// way wall time does.
+pub fn process_cpu_s() -> f64 {
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec (64-bit `time_t` and
+    // `long`, as on every 64-bit Linux target); the call writes only it.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// Wall time and process CPU time, read together.
+#[derive(Clone, Copy)]
+pub struct Stamp {
+    wall: Instant,
+    cpu: f64,
+}
+
+/// Wall and process CPU seconds between two [`Stamp`]s.
+#[derive(Clone, Copy, Default)]
+pub struct Elapsed {
+    pub wall_s: f64,
+    pub cpu_s: f64,
+}
+
+impl Stamp {
+    pub fn now() -> Self {
+        Stamp { wall: Instant::now(), cpu: process_cpu_s() }
+    }
+
+    pub fn wall_s(&self) -> f64 {
+        self.wall.elapsed().as_secs_f64()
+    }
+
+    pub fn elapsed(&self) -> Elapsed {
+        Elapsed { wall_s: self.wall.elapsed().as_secs_f64(), cpu_s: process_cpu_s() - self.cpu }
+    }
+}
+
+impl std::ops::AddAssign for Elapsed {
+    fn add_assign(&mut self, other: Elapsed) {
+        self.wall_s += other.wall_s;
+        self.cpu_s += other.cpu_s;
+    }
 }
 
 /// Resets the process's peak-RSS mark so the next [`peak_rss_mb`] covers

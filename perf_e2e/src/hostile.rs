@@ -8,6 +8,7 @@
 //! other workloads never touch.
 
 use crate::common::{self, Counts};
+use crate::probe::{Meter, Probe};
 use crate::report::Round;
 use crate::trace::{self, Hub, HubSample, Makespan, Tracer};
 use crate::Workload;
@@ -141,9 +142,10 @@ struct Feed<'a> {
     round: Round,
     reference: &'a [RankingSnapshot],
     uninterrupted: &'a [RankingSnapshot],
-    /// Per tick: when its first arrival was offered, and whether it has
-    /// been visible yet (ticks republished after the restart count once).
-    first_offer: Vec<Option<Instant>>,
+    /// Per tick: when its first arrival was offered (stream wall seconds),
+    /// and whether it has been visible yet (ticks republished after the
+    /// restart count once).
+    first_offer: Vec<Option<f64>>,
     shown: Vec<bool>,
     published: Vec<Option<RankingSnapshot>>,
     emitted: Vec<RankingSnapshot>,
@@ -162,18 +164,19 @@ impl Feed<'_> {
         engine: &mut EnBlogueEngine,
         handle: &QueryHandle,
         hub: &Hub,
+        meter: &Meter,
         doc: &Document,
         tick: u32,
     ) -> Option<Tick> {
         let slot = &mut self.first_offer[tick as usize];
         if slot.is_none() {
-            *slot = Some(Instant::now());
+            *slot = Some(meter.wall_s());
         }
         let s = self.tr.begin("ingest.offer", u64::from(tick));
         let emitted = &mut self.emitted;
         engine.offer_doc(doc, |snapshot| emitted.push(snapshot));
         self.tr.end(s);
-        self.after_closes(engine, handle, hub)
+        self.after_closes(engine, handle, hub, meter)
     }
 
     fn finish(
@@ -181,12 +184,13 @@ impl Feed<'_> {
         engine: &mut EnBlogueEngine,
         handle: &QueryHandle,
         hub: &Hub,
+        meter: &Meter,
     ) -> Option<Tick> {
         let s = self.tr.begin("ingest.finish", 0);
         let emitted = &mut self.emitted;
         engine.finish_stream(|snapshot| emitted.push(snapshot));
         self.tr.end(s);
-        self.after_closes(engine, handle, hub)
+        self.after_closes(engine, handle, hub, meter)
     }
 
     /// Waits for the ticks a feed call closed to become visible, reads the
@@ -196,6 +200,7 @@ impl Feed<'_> {
         engine: &EnBlogueEngine,
         handle: &QueryHandle,
         hub: &Hub,
+        meter: &Meter,
     ) -> Option<Tick> {
         let last = self.emitted.last()?.tick;
         self.closes += self.emitted.len() as u64;
@@ -210,13 +215,13 @@ impl Feed<'_> {
         let s = self.tr.begin("serve.visible", last.0);
         let visible = common::wait_visible(handle, self.epoch, last);
         self.tr.end(s);
-        let now = Instant::now();
+        let now = meter.wall_s();
         for snapshot in &self.emitted {
             let t = snapshot.tick.0 as usize;
             if !self.shown[t] {
                 self.shown[t] = true;
                 if let Some(first) = self.first_offer[t] {
-                    self.round.visible_ms.push((now - first).as_secs_f64() * 1e3);
+                    self.round.visible_ms.push((now - first) * 1e3);
                 }
             }
         }
@@ -236,7 +241,7 @@ impl Feed<'_> {
 }
 
 impl Workload for Hostile {
-    fn round(&mut self, traced: bool) -> Round {
+    fn round(&mut self, traced: bool, probe: &mut Probe) -> Round {
         let _ = std::fs::remove_dir_all(&self.checkpoints);
         let config = EnBlogueConfig {
             snapshot: SnapshotConfig::every(
@@ -251,7 +256,7 @@ impl Workload for Hostile {
             round.check(ok);
         }
         let (p, dict_build_s, setup_s) =
-            common::set_up_timed(&self.universe, &config, &self.interner);
+            common::set_up_timed(&self.universe, &config, &self.interner, probe);
         let common::Pipeline { tagger: _, mut engine, handle } = p;
         round.setup_s = setup_s;
         let hub = Hub::new(&engine);
@@ -274,23 +279,28 @@ impl Workload for Hostile {
         };
 
         let head = self.arrivals.len() * 2 / 3;
-        let start = Instant::now();
+        let mut meter = Meter::start(probe);
         let mut killed_at = None;
         for (doc, &tick) in self.arrivals[..head].iter().zip(&self.arrival_ticks) {
-            killed_at = feed.offer(&mut engine, &handle, &hub, doc, tick).or(killed_at);
+            let shown = feed.offer(&mut engine, &handle, &hub, &meter, doc, tick);
+            if shown.is_some() {
+                killed_at = shown;
+                meter.boundary();
+            }
         }
         let killed_at = killed_at.expect("the head closes ticks");
         // The kill: everything in memory is gone. Reading the killed
         // engine's counters and freeing it are not part of the stream's
         // time, nor is the benchmark's own book-keeping on the new engine.
-        let aside = Instant::now();
+        meter.pause();
         let doomed = engine.metrics();
         let doomed_hub = hub.sample().since(&hub_start);
         let doomed_counts = Counts::of(&engine).since(counts_start);
         drop(handle);
         drop(engine);
-        let mut aside_s = aside.elapsed().as_secs_f64();
+        meter.resume();
 
+        let resume_at = meter.wall_s();
         let resume_start = Instant::now();
         let s = feed.tr.begin("snapshot.restore", killed_at.0);
         let resumed =
@@ -306,7 +316,7 @@ impl Workload for Hostile {
                 println!("# FAIL: resume_latest: {e}");
                 let mut round = feed.round;
                 round.check(false);
-                round.wall_s = start.elapsed().as_secs_f64() - aside_s;
+                round.set_stream(meter.finish());
                 round.docs = head as u64;
                 return round;
             }
@@ -316,28 +326,28 @@ impl Workload for Hostile {
         let handle =
             QueryHandle::attach(&mut engine, self.interner.clone(), ServeConfig::default());
         feed.tr.end(s);
-        let aside = Instant::now();
+        meter.pause();
         let hub = Hub::new(&engine);
         let hub_resumed = hub.sample();
         feed.last_shard_ns = hub.shard_ns();
         feed.epoch = 0;
         let counts_resumed = Counts::of(&engine);
         let resumed_metrics = engine.metrics();
-        let resumed_aside_s = aside.elapsed().as_secs_f64();
-        aside_s += resumed_aside_s;
+        meter.resume();
         let mut recovery: Option<(f64, u64)> = None;
         let tail = self.arrivals[cursor..].iter().zip(&self.arrival_ticks[cursor..]);
         for (i, (doc, &tick)) in tail.enumerate() {
-            let shown = feed.offer(&mut engine, &handle, &hub, doc, tick);
+            let shown = feed.offer(&mut engine, &handle, &hub, &meter, doc, tick);
             if recovery.is_none() && shown.is_some_and(|t| t >= killed_at) {
-                let recovery_s = resume_start.elapsed().as_secs_f64() - resumed_aside_s;
-                recovery = Some((recovery_s, i as u64 + 1));
+                recovery = Some((meter.wall_s() - resume_at, i as u64 + 1));
+            }
+            if shown.is_some() {
+                meter.boundary();
             }
         }
-        feed.finish(&mut engine, &handle, &hub);
-        let wall_s = start.elapsed().as_secs_f64() - aside_s;
-        let (recovery_s, tail_arrivals) =
-            recovery.unwrap_or((resume_start.elapsed().as_secs_f64() - resumed_aside_s, 0));
+        feed.finish(&mut engine, &handle, &hub, &meter);
+        let (recovery_s, tail_arrivals) = recovery.unwrap_or((meter.wall_s() - resume_at, 0));
+        let metered = meter.finish();
 
         let m = engine.metrics();
         let want = &self.uninterrupted_metrics;
@@ -358,7 +368,7 @@ impl Workload for Hostile {
             published.len() >= self.reference.len()
                 && published[..self.reference.len()].iter().all(Option::is_some),
         );
-        round.wall_s = wall_s;
+        round.set_stream(metered);
         round.docs = self.arrivals.len() as u64;
         round.extra.push(("recovery_s", "s", recovery_s));
         self.last_published = published.into_iter().flatten().collect();

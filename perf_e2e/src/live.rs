@@ -7,6 +7,7 @@
 //! reads, or the reverse, shows here.
 
 use crate::common::{self, Counts};
+use crate::probe::{Meter, Probe};
 use crate::report::Round;
 use crate::stats::LogHist;
 use crate::trace::{self, Hub, Makespan, Tracer};
@@ -158,10 +159,10 @@ fn read_loop(
 }
 
 impl Workload for Live {
-    fn round(&mut self, traced: bool) -> Round {
+    fn round(&mut self, traced: bool, probe: &mut Probe) -> Round {
         let mut round = Round::new(traced);
         let (p, dict_build_s, setup_s) =
-            common::set_up_timed(&self.universe, &self.config, &self.input.interner);
+            common::set_up_timed(&self.universe, &self.config, &self.input.interner, probe);
         let common::Pipeline { tagger: _, mut engine, handle } = p;
         round.setup_s = setup_s;
         let hub = Hub::new(&engine);
@@ -184,7 +185,7 @@ impl Workload for Live {
                 let (stop, first_publish, fed_ticks) = (&stop, &first_publish, &fed_ticks);
                 scope.spawn(move || read_loop(&handle, profiles, k, stop, first_publish, fed_ticks))
             };
-            let start = Instant::now();
+            let mut meter = Meter::start(probe);
             for (i, (tick, range)) in self.slices.iter().enumerate() {
                 let tick_start = Instant::now();
                 let tick_span = tr.begin("tick", tick.0);
@@ -209,8 +210,9 @@ impl Workload for Live {
                 published.push(handle.ranking());
                 tr.end(s);
                 tr.end(tick_span);
+                meter.boundary();
             }
-            round.wall_s = start.elapsed().as_secs_f64();
+            round.set_stream(meter.finish());
             stop.store(true, Ordering::Release);
             reader.join().expect("reader thread panicked")
         });

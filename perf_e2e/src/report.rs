@@ -1,5 +1,6 @@
 //! What a round measures, and how rounds fold into a run's result.
 
+use crate::probe::Metered;
 use crate::stats::{self, Tail};
 use crate::trace::Tracer;
 use std::collections::BTreeMap;
@@ -7,10 +8,18 @@ use std::collections::BTreeMap;
 /// One measured pass of a workload, set-up included.
 pub struct Round {
     pub traced: bool,
-    /// Set-up times: dictionary build, tagger, engine and query handle.
+    /// Set-up times: dictionary build, tagger, engine and query handle,
+    /// in CPU seconds at the probe's reference speed.
     pub setup_s: Vec<f64>,
-    /// First document fed to last tick visible.
+    /// First document fed to last tick visible, probes left out.
     pub wall_s: f64,
+    /// Process CPU seconds over the same stream (every thread; time the
+    /// host stole is not in it), and the same at the probe's reference
+    /// speed.
+    pub stream_cpu_s: f64,
+    pub norm_s: f64,
+    /// Median CPU time of the host-speed probe during the stream.
+    pub probe_s: f64,
     pub docs: u64,
     /// Per tick: first document fed until the handle shows the tick.
     pub visible_ms: Vec<f64>,
@@ -40,6 +49,9 @@ impl Round {
             traced,
             setup_s: Vec::new(),
             wall_s: 0.0,
+            stream_cpu_s: 0.0,
+            norm_s: 0.0,
+            probe_s: 0.0,
             docs: 0,
             visible_ms: Vec::new(),
             attempted: 0,
@@ -65,6 +77,18 @@ impl Round {
 
     pub fn docs_per_s(&self) -> f64 {
         self.docs as f64 / self.wall_s
+    }
+
+    /// Documents per second of stream CPU time at the reference speed.
+    pub fn norm_docs_per_s(&self) -> f64 {
+        self.docs as f64 / self.norm_s
+    }
+
+    pub fn set_stream(&mut self, metered: Metered) {
+        self.wall_s = metered.time.wall_s;
+        self.stream_cpu_s = metered.time.cpu_s;
+        self.norm_s = metered.norm_s;
+        self.probe_s = metered.probe_s;
     }
 
     /// Layers' summed self time over wall time.
