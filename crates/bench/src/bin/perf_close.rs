@@ -262,7 +262,7 @@ fn run(
         registry.set_scoring(scoring);
         if layout == "slab+tel" {
             // A live hub: every measured close records per-shard latency
-            // histograms (the journal only sees evictions/rebalances,
+            // histograms (the journal only sees evictions,
             // which this stable population never triggers).
             registry.attach_telemetry(&enblogue::telemetry::Telemetry::new(1024));
         }

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use crate::pairs::{RebalanceConfig, ScoringMode};
+use crate::pairs::ScoringMode;
 use enblogue_stats::correlation::CorrelationMeasure;
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::ErrorNormalization;
@@ -283,9 +283,8 @@ impl SourceGuardConfig {
 /// length, seed selection, correlation measure, predictor, half-life,
 /// `k`, support thresholds, the tracked-pair cap) change what the engine
 /// computes. *Execution* knobs (`shards`, `parallel_close`,
-/// `ingest_workers`, `rebalance`, `scoring_mode`) only change how the
-/// work is laid out —
-/// rankings are byte-identical for any setting of them, and their
+/// `ingest_workers`, `scoring_mode`) only change how the work is laid
+/// out — rankings are byte-identical for any setting of them, and their
 /// defaults derive from the machine's available parallelism.
 ///
 /// # Example
@@ -333,14 +332,12 @@ pub struct EnBlogueConfig {
     /// Hard cap on concurrently tracked pairs (memory bound); the lowest-
     /// scored pairs are evicted beyond it.
     pub max_tracked_pairs: usize,
-    /// Shard-store pool size of the pair registry. Routing goes through
-    /// the versioned [`enblogue_types::RoutingTable`] slot grid (keys
-    /// hash onto slots with [`enblogue_types::shard_of_packed`]; slots
-    /// map to stores, and the [`EnBlogueConfig::rebalance`] policy may
-    /// re-target them at tick close). Sharding is pure state
-    /// partitioning — rankings are identical for any pool size — but it
-    /// lets tick close fan out shard-parallel and bounds per-store map
-    /// sizes. 1 = the classic single-map registry.
+    /// Shard-store pool size of the pair registry. Routing is static: a
+    /// pair key lives in store [`enblogue_types::shard_of_packed`]`(key,
+    /// shards)` for the whole run. Sharding is pure state partitioning —
+    /// rankings are identical for any pool size — but it lets tick close
+    /// fan out shard-parallel and bounds per-store map sizes. 1 = the
+    /// classic single-map registry.
     pub shards: usize,
     /// Fan tick close out over one scoped thread per shard. Only useful
     /// with `shards > 1`; results are identical either way (workers own
@@ -351,11 +348,6 @@ pub struct EnBlogueConfig {
     /// sets the default pool size of ingestion pipelines driven off this
     /// engine.
     pub ingest_workers: usize,
-    /// Load-aware shard rebalancing policy (dynamic active store count +
-    /// hot-slot re-spreading under the `max_tracked_pairs` cap). Another
-    /// pure execution knob: rankings are byte-identical with any policy,
-    /// including disabled.
-    pub rebalance: RebalanceConfig,
     /// Periodic checkpointing of the full engine state for failover (see
     /// [`crate::snapshot`]). Off by default; also a pure execution knob —
     /// rankings are byte-identical with any policy.
@@ -405,13 +397,6 @@ impl Default for EnBlogueConfig {
             shards: default_parallelism().min(16),
             parallel_close: default_parallelism() > 1,
             ingest_workers: default_parallelism(),
-            // Rebalancing is on by default: with the machine-derived
-            // single-shard pool of a 1-core box it is inert, and on
-            // multi-core pools it only ever migrates state (never
-            // results). `min_active_shards` stays on automatic and
-            // resolves against `parallel_close` when the registry is
-            // built.
-            rebalance: RebalanceConfig::default(),
             snapshot: SnapshotConfig::default(),
             scoring_mode: ScoringMode::default(),
             telemetry: TelemetryConfig::default(),
@@ -466,36 +451,6 @@ impl EnBlogueConfig {
             return Err(EnBlogueError::invalid_config(
                 "ingest_workers",
                 "at least one ingest worker is required",
-            ));
-        }
-        if self.rebalance.slots_per_shard == 0 {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.slots_per_shard",
-                "the routing grid needs at least one slot per shard",
-            ));
-        }
-        if self.rebalance.target_pairs_per_shard == 0 {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.target_pairs_per_shard",
-                "the store sizing target must be positive",
-            ));
-        }
-        if !(self.rebalance.min_skew.is_finite() && self.rebalance.min_skew >= 1.0) {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.min_skew",
-                "the skew trigger is a max/mean ratio and must be ≥ 1",
-            ));
-        }
-        if !(self.rebalance.cap_pressure > 0.0 && self.rebalance.cap_pressure <= 1.0) {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.cap_pressure",
-                "cap pressure is a fraction of max_tracked_pairs in (0, 1]",
-            ));
-        }
-        if self.rebalance.min_active_shards > self.shards {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.min_active_shards",
-                "the active-store floor cannot exceed the shard pool",
             ));
         }
         if self.snapshot.enabled() && self.snapshot.directory.is_empty() {
@@ -693,21 +648,6 @@ impl EnBlogueConfigBuilder {
     #[must_use]
     pub fn scoring_mode(mut self, mode: ScoringMode) -> Self {
         self.config.scoring_mode = mode;
-        self
-    }
-
-    /// Sets the full shard-rebalancing policy.
-    #[must_use]
-    pub fn rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.config.rebalance = rebalance;
-        self
-    }
-
-    /// Enables/disables shard rebalancing, keeping the policy's other
-    /// knobs.
-    #[must_use]
-    pub fn rebalance_enabled(mut self, yes: bool) -> Self {
-        self.config.rebalance.enabled = yes;
         self
     }
 

@@ -96,7 +96,7 @@ pub use enblogue_types::RankingSnapshot;
 pub use engine::EnBlogueEngine;
 pub use ingest::ReplayIngest;
 pub use notify::{PushBroker, PushSubscription, RankingUpdate};
-pub use pairs::{RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry};
+pub use pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
 pub use personalization::{PersonalizedRanking, UserProfile};
 pub use query::{EngineQuery, PublishDetail, QueryView, ViewData};
 pub use rankdiff::{diff as ranking_diff, kendall_tau, RankChange, RankingHistory};

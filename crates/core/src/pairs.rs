@@ -1,32 +1,22 @@
 //! Stages (ii) and (iii): candidate-pair tracking, correlation series and
-//! decayed-max shift scores — hash-sharded for parallel tick close, with
-//! load-aware dynamic rebalancing.
+//! decayed-max shift scores — hash-sharded for parallel tick close.
 //!
 //! "We use seed tags to generate candidate topics, i.e., pairs of tags that
 //! contain at least one seed tag. … For each such pair, we continuously
 //! monitor the amount of documents that are annotated with both tags."
 //! (§3(i)–(ii))
 //!
-//! The registry splits per-pair state into a pool of hash shards (routing:
-//! the versioned [`enblogue_types::RoutingTable`], storage:
-//! [`enblogue_window::ShardedWindowedCounter`]). Every pair's state is
-//! fully contained in its shard, so discovery, scoring and support-based
-//! eviction fan out shard-parallel through
+//! The registry splits per-pair state into a pool of hash shards (storage:
+//! [`enblogue_window::ShardedWindowedCounter`]). Routing is static: a pair
+//! key lives in store [`enblogue_types::shard_of_packed`]`(key, pool)` for
+//! its whole life, so the ingest partitioner, the registry and snapshot
+//! restore agree on placement without sharing any routing state. Every
+//! pair's state is fully contained in its shard, so discovery, scoring and
+//! support-based eviction fan out shard-parallel through
 //! [`enblogue_stream::exec::fanout`] while the cap-based eviction and the
-//! final ranking merge stay global.
-//!
-//! Routing is *state*, not a pure function: keys hash onto a fixed slot
-//! grid, slots map to shard stores, and a [`RebalanceConfig`]-driven
-//! policy may re-target slots at tick close — growing or shrinking the
-//! *active* store count with the tracked-pair population under the
-//! `max_tracked_pairs` cap, and re-spreading hot slots when observed load
-//! skews (real streams concentrate on few hot tags, which static hashing
-//! cannot split apart once they land together). A migration pass moves
-//! each re-targeted slot's pair states *and* windowed counts between
-//! stores bit-for-bit. Rankings are **identical for any shard count,
-//! routing table, or rebalance schedule** — sharding and rebalancing are
-//! pure execution knobs, never semantic ones (pinned by
-//! `tests/stage_parity.rs`).
+//! final ranking merge stay global. Rankings are **identical for any shard
+//! count** — sharding is a pure execution knob, never a semantic one
+//! (pinned by `tests/stage_parity.rs`).
 
 use crate::query::ViewData;
 use crate::slab::PairSlab;
@@ -36,58 +26,11 @@ use enblogue_stats::predict::{HistoryTile, SeriesView, LANES};
 use enblogue_stats::shift::ShiftScorer;
 use enblogue_stream::exec::fanout;
 use enblogue_telemetry::{EventKind, Histogram, Journal, Telemetry};
-use enblogue_types::{
-    EnBlogueError, FxHashSet, RoutingTable, SharedRouting, TagId, TagPair, Tick, Timestamp,
-    DEFAULT_SLOTS_PER_SHARD,
-};
+use enblogue_types::{shard_of_packed, EnBlogueError, FxHashSet, TagId, TagPair, Tick, Timestamp};
 use enblogue_window::{
-    DecayMemo, DecayValue, KeyWindow, RingBuffer, ShardedWindowedCounter, TopK, WindowedCounter,
+    DecayMemo, DecayValue, RingBuffer, ShardedWindowedCounter, TopK, WindowedCounter,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// Configuration of the load-aware shard rebalancer (see
-/// [`ShardedPairRegistry::maybe_rebalance`]).
-///
-/// All knobs are *execution* knobs: rankings are byte-identical for any
-/// setting. The policy runs tick-aligned (decisions only at tick close, on
-/// deterministic load counters), so replays of the same stream make the
-/// same rebalancing decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RebalanceConfig {
-    /// Master switch. Disabled, the registry keeps the epoch-0 uniform
-    /// table forever — exactly the classic static hash sharding.
-    pub enabled: bool,
-    /// Slots allocated per shard store — the migration granularity (a
-    /// rebalance re-targets whole slots, never single keys).
-    pub slots_per_shard: usize,
-    /// Sizing target of the dynamic store count: the policy aims for
-    /// `ceil(live_pairs / target_pairs_per_shard)` active stores (within
-    /// `[min_active_shards, pool]`), so per-store maps stay small enough
-    /// to be cache-resident while the pool absorbs growth under the
-    /// tracked-pair cap.
-    pub target_pairs_per_shard: usize,
-    /// Load-skew trigger: rebalance when `max_store_load / mean_load`
-    /// over the active stores reaches this ratio (≥ 1.0).
-    pub min_skew: f64,
-    /// Cap-pressure trigger: once `live_pairs ≥ cap_pressure ·
-    /// max_tracked_pairs`, even mild skew (> [`CAP_PRESSURE_MIN_SKEW`])
-    /// triggers — near the cap every store is at its densest and
-    /// imbalance costs the most.
-    pub cap_pressure: f64,
-    /// Below this many live pairs the policy stays quiet (rebalancing a
-    /// tiny registry is churn for nothing).
-    pub min_tracked_pairs: usize,
-    /// Minimum ticks between rebalance *attempts* (an attempt scans all
-    /// pair keys to compute per-slot loads, so attempts are spaced even
-    /// when they end up migrating nothing).
-    pub cooldown_ticks: u64,
-    /// Floor of the dynamic store count. `0` = resolve automatically:
-    /// the whole pool when tick close fans out in parallel (shrinking
-    /// would idle workers), `1` when close is serial (consolidation buys
-    /// cache locality).
-    pub min_active_shards: usize,
-}
 
 /// Which execution path the tick close uses to score tracked pairs.
 ///
@@ -126,79 +69,15 @@ impl ScoringMode {
 /// pure execution knob: demotion changes scheduling, never results.
 pub const SERIAL_CLOSE_MAX_PAIRS: usize = 4096;
 
-/// Skew ratio above which the cap-pressure trigger fires (see
-/// [`RebalanceConfig::cap_pressure`]).
-pub const CAP_PRESSURE_MIN_SKEW: f64 = 1.05;
-
-/// Relative weight of one tracked pair against one window observation in
-/// the load model. A tracked pair costs a correlation + prediction +
-/// decayed-max update every tick close; an observation costs two hash-map
-/// operations at ingest. Measured on the `perf_rebalance` workload the
-/// ratio is ≈ 2.7 (≈ 160 ns per pair update vs ≈ 60 ns per observation);
-/// 3 is that measurement rounded, not a tuning surface.
-pub const PAIR_LOAD_WEIGHT: u64 = 3;
-
-/// Minimum relative improvement of the max store load a reassignment must
-/// deliver to be adopted (5%): LPT from scratch rarely reproduces the
-/// incumbent assignment exactly, and migrating for a sub-noise gain is
-/// pure churn.
-const MIN_IMPROVEMENT_NUM: u64 = 19;
-const MIN_IMPROVEMENT_DEN: u64 = 20;
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: DEFAULT_SLOTS_PER_SHARD,
-            target_pairs_per_shard: 8192,
-            min_skew: 1.25,
-            cap_pressure: 0.8,
-            min_tracked_pairs: 4096,
-            cooldown_ticks: 4,
-            min_active_shards: 0,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// The disabled policy: classic static hash sharding.
-    pub fn disabled() -> Self {
-        RebalanceConfig { enabled: false, ..RebalanceConfig::default() }
-    }
-
-    /// Resolves the automatic `min_active_shards = 0` against the pool
-    /// size and the host's close mode.
-    pub fn resolved(mut self, pool: usize, parallel_close: bool) -> Self {
-        if self.min_active_shards == 0 {
-            self.min_active_shards = if parallel_close { pool } else { 1 };
-        }
-        self.min_active_shards = self.min_active_shards.min(pool);
-        self
-    }
-}
-
-/// Load and rebalancing metrics of a [`ShardedPairRegistry`].
-#[derive(Debug, Clone, PartialEq)]
+/// Population metrics of a [`ShardedPairRegistry`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Size of the shard-store pool.
     pub shards: usize,
-    /// Stores the current routing epoch actually targets.
-    pub active_shards: usize,
     /// Currently tracked pairs.
     pub tracked_pairs: usize,
     /// Live pairs per store (index = store).
     pub per_shard_pairs: Vec<usize>,
-    /// Decayed window observations per store (index = store).
-    pub per_shard_obs: Vec<u64>,
-    /// `max / mean` of the per-store load (pairs weighted against
-    /// observations) over the *active* stores; 1.0 = perfectly balanced.
-    pub skew: f64,
-    /// Version of the routing table (0 = the uniform table).
-    pub routing_epoch: u64,
-    /// Rebalances applied (migrations that actually moved ownership).
-    pub rebalances: u64,
-    /// Pair states moved between stores across all rebalances.
-    pub migrated_pairs: u64,
     /// Pairs ever discovered.
     pub discovered: u64,
     /// Pairs ever evicted.
@@ -237,10 +116,6 @@ pub struct PairShard {
     /// Copy of the registry's scalar parameters (shards are handed to
     /// workers detached from the registry during fan-out).
     params: PairParams,
-    /// Observations per routing slot (index = slot over the whole grid;
-    /// only this store's slots accumulate). Decayed at each rebalance
-    /// check so recent traffic dominates; the rebalancer's load signal.
-    slot_obs: Vec<u64>,
     /// Reusable scratch of the batched close walk.
     tile: TileScratch,
     /// Close-walk latency histogram (`close.shard.ns{shard=i}`). Disabled
@@ -297,21 +172,11 @@ impl PairShard {
         PairShard {
             slab: PairSlab::new(params.history_len),
             current: FxHashSet::default(),
-            slot_obs: vec![0; if params.track_load { params.slots } else { 0 }],
             tile: TileScratch::new(params.history_len),
             close_ns: Histogram::disabled(),
             params,
             discovered: 0,
             evicted: 0,
-        }
-    }
-
-    /// Records observation pressure on `slot` (no-op when load tracking
-    /// is off — the counters only exist for the rebalancer).
-    #[inline]
-    fn note_observation(&mut self, slot: usize) {
-        if self.params.track_load {
-            self.slot_obs[slot] += 1;
         }
     }
 
@@ -465,50 +330,31 @@ struct PairParams {
     half_life_ms: u64,
     min_pair_support: u64,
     max_tracked_pairs: usize,
-    /// Slot-grid size of the routing table (for per-slot load counters).
-    slots: usize,
-    /// Whether shards maintain per-slot observation counters (only when a
-    /// rebalancer is attached).
-    track_load: bool,
     /// Close-scoring execution path (see [`ScoringMode`]).
     scoring: ScoringMode,
 }
 
 /// The candidate-pair registry: discovery, scoring, eviction, ranking —
-/// over a pool of hash shards behind a versioned routing table, with an
-/// optional load-aware rebalancer.
+/// over a pool of statically hash-routed shards.
 pub struct ShardedPairRegistry {
     shards: Vec<PairShard>,
     /// Windowed per-pair co-occurrence counts, sharded alongside `shards`.
     counts: ShardedWindowedCounter<u64>,
     params: PairParams,
-    /// The rebalance policy ([`RebalanceConfig::disabled`] = static).
-    rebalance: RebalanceConfig,
-    /// The live routing handle shared with partitioning workers.
-    routing: SharedRouting,
-    /// Cached snapshot of the current epoch — the registry is the only
-    /// publisher, so this is always the handle's latest table and every
-    /// routed access skips the lock.
-    table: Arc<RoutingTable>,
-    /// Tick of the last rebalance attempt (cooldown anchor).
-    last_attempt: Option<Tick>,
-    rebalances: u64,
-    migrated_pairs: u64,
     /// Reusable `(score, key)` buffer of the cap-eviction pass (retained
     /// across closes so a cap-bound steady state allocates nothing).
     cap_scratch: Vec<(f64, u64)>,
     /// Capacity-growth events in the registry's own close-path buffers
     /// (shards count theirs in the slab).
     close_allocs: u64,
-    /// Operational event journal (evictions, rebalances). Disabled until
+    /// Operational event journal (evictions). Disabled until
     /// [`ShardedPairRegistry::attach_telemetry`].
     journal: Journal,
 }
 
 impl ShardedPairRegistry {
-    /// A statically sharded registry (`shards` stores, uniform routing,
-    /// no rebalancer) whose correlation histories hold `history_len`
-    /// ticks.
+    /// A registry of `shards` stores whose correlation histories hold
+    /// `history_len` ticks.
     ///
     /// # Panics
     /// Panics if `shards` is zero or `history_len < 2` (predictors need at
@@ -520,65 +366,19 @@ impl ShardedPairRegistry {
         min_pair_support: u64,
         max_tracked_pairs: usize,
     ) -> Self {
-        ShardedPairRegistry::with_rebalance(
-            shards,
-            history_len,
-            half_life_ms,
-            min_pair_support,
-            max_tracked_pairs,
-            RebalanceConfig::disabled(),
-        )
-    }
-
-    /// [`ShardedPairRegistry::new`] with a rebalance policy attached. The
-    /// pool holds `shards` stores; with rebalancing enabled the policy
-    /// decides how many of them the routing table actually targets.
-    ///
-    /// An automatic `min_active_shards` of 0 resolves to the *serial*
-    /// floor of 1 here — the registry cannot know how the host closes
-    /// ticks. Hosts that fan the close out in parallel should pre-resolve
-    /// the policy with [`RebalanceConfig::resolved`] (the engine's
-    /// `PipelineState` does, against its `parallel_close` setting), or
-    /// the policy may consolidate stores under their workers.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero, `history_len < 2`, or the policy's
-    /// `slots_per_shard` is zero.
-    pub fn with_rebalance(
-        shards: usize,
-        history_len: usize,
-        half_life_ms: u64,
-        min_pair_support: u64,
-        max_tracked_pairs: usize,
-        rebalance: RebalanceConfig,
-    ) -> Self {
         assert!(shards > 0, "shard count must be positive");
         assert!(history_len >= 2, "predictors need at least two history slots");
-        assert!(rebalance.slots_per_shard > 0, "need at least one slot per shard");
-        let rebalance = rebalance.resolved(shards, false);
-        let table = RoutingTable::uniform(shards, shards * rebalance.slots_per_shard);
         let params = PairParams {
             history_len,
             half_life_ms,
             min_pair_support,
             max_tracked_pairs,
-            slots: table.slot_count(),
-            // A 1-store pool can never rebalance, so don't pay the
-            // per-observation accounting there (the policy early-returns
-            // before ever reading or decaying the counters).
-            track_load: rebalance.enabled && shards > 1,
             scoring: ScoringMode::default(),
         };
         ShardedPairRegistry {
             shards: (0..shards).map(|_| PairShard::new(params)).collect(),
             counts: ShardedWindowedCounter::new(shards, history_len),
             params,
-            rebalance,
-            routing: SharedRouting::new(table.clone()),
-            table: Arc::new(table),
-            last_attempt: None,
-            rebalances: 0,
-            migrated_pairs: 0,
             cap_scratch: Vec::new(),
             close_allocs: 0,
             journal: Journal::disabled(),
@@ -589,7 +389,7 @@ impl ShardedPairRegistry {
     /// `close.shard.ns{shard=i}` latency histogram per pool store (the
     /// per-shard close-walk timing recorded inside
     /// [`ShardedPairRegistry::score_all`]'s fan-out workers) and adopts
-    /// the hub's event journal for eviction and rebalance events.
+    /// the hub's event journal for eviction events.
     ///
     /// Cold-path only — all handles are resolved here, once; the close
     /// path records through them without locks or allocation. Attaching a
@@ -623,21 +423,10 @@ impl ShardedPairRegistry {
         self.params.scoring
     }
 
-    /// The live routing handle (hand this to partitioning workers; they
-    /// snapshot it per batch and see every published rebalance).
-    pub fn routing_handle(&self) -> SharedRouting {
-        self.routing.clone()
-    }
-
-    /// The current routing epoch (see
-    /// [`enblogue_ingest::partition::PartitionedBatch::routing_epoch`]).
-    pub fn routing_epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
+    /// The store owning `packed`: static hash routing over the pool.
     #[inline]
     fn route(&self, packed: u64) -> usize {
-        self.table.route(packed)
+        shard_of_packed(packed, self.shards.len())
     }
 
     /// Number of currently tracked pairs.
@@ -669,11 +458,9 @@ impl ShardedPairRegistry {
     /// Records one co-occurrence of `packed` in the open tick: counts it
     /// into the pair's windowed series and marks it a discovery candidate.
     pub fn observe_pair(&mut self, tick: Tick, packed: u64) {
-        let slot = self.table.slot_of(packed);
-        let shard = self.table.shard_of_slot(slot);
+        let shard = self.route(packed);
         self.counts.increment(shard, tick, packed);
         self.shards[shard].current.insert(packed);
-        self.shards[shard].note_observation(slot);
     }
 
     /// Applies a shard-partitioned batch of co-occurrence observations,
@@ -701,15 +488,10 @@ impl ShardedPairRegistry {
             .zip(buckets.iter())
             .map(|((shard, counter), bucket)| (shard, counter, bucket.as_slice()))
             .collect();
-        let table = &self.table;
         fanout(&mut work, parallel, |_, (shard, counter, bucket)| {
-            let track = shard.params.track_load;
             for &(tick, packed) in bucket.iter() {
                 counter.increment(tick, packed);
                 shard.current.insert(packed);
-                if track {
-                    shard.slot_obs[table.slot_of(packed)] += 1;
-                }
             }
         });
     }
@@ -916,269 +698,12 @@ impl ShardedPairRegistry {
         evicted
     }
 
-    /// Runs the tick-aligned rebalance policy; call once per tick close,
-    /// after scoring and eviction (the decision should see post-eviction
-    /// populations). Returns the number of pair states migrated (0 when
-    /// the policy is disabled, cooling down, or satisfied).
-    ///
-    /// The policy, in order:
-    ///
-    /// 1. **Dynamic store count** — aim for `ceil(live /
-    ///    target_pairs_per_shard)` active stores within
-    ///    `[min_active_shards, pool]`; grow eagerly, shrink only past a
-    ///    2× hysteresis band so the count doesn't flap at a boundary.
-    /// 2. **Skew** — among the active stores, if `max/mean` load (window
-    ///    observations + [`PAIR_LOAD_WEIGHT`]·pairs) reaches `min_skew` —
-    ///    or [`CAP_PRESSURE_MIN_SKEW`] once the tracked-pair cap is
-    ///    `cap_pressure` full — recompute the slot assignment.
-    /// 3. **Assignment** — longest-processing-time greedy over per-slot
-    ///    loads (deterministic: slots by descending load then index,
-    ///    stores by ascending load then index). Adopted only if it trims
-    ///    the max store load by ≥ 5% (or the store count changed), then
-    ///    applied by [`ShardedPairRegistry::migrate_to`].
-    pub fn maybe_rebalance(&mut self, tick: Tick) -> usize {
-        if !self.rebalance.enabled || self.shards.len() < 2 {
-            return 0;
-        }
-        let migrated = self.consider_rebalance(tick);
-        if migrated > 0 {
-            self.journal.record(EventKind::Rebalance, tick.0, migrated as u64, self.table.epoch());
-        }
-        // Halve the per-slot observation pressure each close: the load
-        // signal is an exponential moving sum with a one-tick half-life,
-        // so bursts register fast and fade fast.
-        for shard in &mut self.shards {
-            for obs in &mut shard.slot_obs {
-                *obs >>= 1;
-            }
-        }
-        migrated
-    }
-
-    /// The decision half of [`ShardedPairRegistry::maybe_rebalance`].
-    fn consider_rebalance(&mut self, tick: Tick) -> usize {
-        let cfg = self.rebalance;
-        let live = self.len();
-        if live < cfg.min_tracked_pairs {
-            return 0;
-        }
-        if let Some(last) = self.last_attempt {
-            if tick.since(last) < cfg.cooldown_ticks {
-                return 0;
-            }
-        }
-        self.last_attempt = Some(tick);
-
-        let (slot_load, slot_obs) = self.slot_loads();
-        let pool = self.shards.len();
-        let mut shard_load = vec![0u64; pool];
-        for (slot, &load) in slot_load.iter().enumerate() {
-            shard_load[self.table.shard_of_slot(slot)] += load;
-        }
-        let active_now = self.table.active_shards();
-
-        // 1. Dynamic store count.
-        let target =
-            live.div_ceil(cfg.target_pairs_per_shard).clamp(cfg.min_active_shards.max(1), pool);
-        let resize_to =
-            if target > active_now || target * 2 <= active_now { target } else { active_now };
-        let resized = resize_to != active_now;
-
-        // 2. Skew over the active stores.
-        let total: u64 = shard_load.iter().sum();
-        let mean = total as f64 / active_now as f64;
-        let max_load = shard_load.iter().copied().max().unwrap_or(0);
-        let skew = max_load as f64 / mean.max(1e-9);
-        let cap_pressed = live as f64 >= cfg.cap_pressure * self.params.max_tracked_pairs as f64;
-        let skewed = skew >= cfg.min_skew || (cap_pressed && skew >= CAP_PRESSURE_MIN_SKEW);
-        if !resized && !skewed {
-            return 0;
-        }
-
-        // 3. Incremental refinement over the first `resize_to` stores:
-        //    keep every slot where it is unless moving it shrinks the
-        //    makespan, so migration volume is proportional to the
-        //    imbalance, not to the population.
-        let assignment = refine_assignment(self.table.assignment(), &slot_load, resize_to);
-        if assignment == *self.table.assignment() {
-            // Refinement found nothing worth moving (e.g. a resize whose
-            // only loaded slots cannot profitably relocate) — publishing
-            // an identical epoch would be pure churn for every in-flight
-            // batch.
-            return 0;
-        }
-        if !resized {
-            let mut new_loads = vec![0u64; resize_to];
-            for (slot, &store) in assignment.iter().enumerate() {
-                new_loads[store as usize] += slot_load[slot];
-            }
-            let new_max = new_loads.into_iter().max().unwrap_or(0);
-            if new_max * MIN_IMPROVEMENT_DEN > max_load * MIN_IMPROVEMENT_NUM {
-                return 0; // < 5% better: not worth the migration
-            }
-        }
-        self.apply_assignment(assignment, &slot_obs)
-    }
-
-    /// Per-slot `(weighted load, raw observation)` vectors over the whole
-    /// grid: decayed window observations plus
-    /// [`PAIR_LOAD_WEIGHT`]-weighted live pairs.
-    fn slot_loads(&self) -> (Vec<u64>, Vec<u64>) {
-        let slots = self.table.slot_count();
-        let mut obs = vec![0u64; slots];
-        for shard in &self.shards {
-            for (slot, &count) in shard.slot_obs.iter().enumerate() {
-                obs[slot] += count;
-            }
-        }
-        let mut load = obs.clone();
-        for shard in &self.shards {
-            for slot in shard.slab.live_slots() {
-                load[self.table.slot_of(shard.slab.key_at(slot))] += PAIR_LOAD_WEIGHT;
-            }
-        }
-        (load, obs)
-    }
-
-    /// Re-targets the slot grid to `assignment` and migrates every
-    /// affected pair's tracked state and windowed counts to its new
-    /// store, publishing the successor routing epoch. Returns the number
-    /// of pair states moved.
-    ///
-    /// This is the migration primitive behind
-    /// [`ShardedPairRegistry::maybe_rebalance`]; it is public as an
-    /// operational/testing hook. State is preserved bit-for-bit, so
-    /// rankings are unaffected by any migration schedule.
-    ///
-    /// # Panics
-    /// Panics if the assignment does not match the slot grid or names a
-    /// store outside the pool.
-    pub fn migrate_to(&mut self, assignment: Vec<u16>) -> usize {
-        let (_, slot_obs) = self.slot_loads();
-        self.apply_assignment(assignment, &slot_obs)
-    }
-
-    /// [`ShardedPairRegistry::migrate_to`] with the per-slot observation
-    /// totals already in hand (they move with their slots).
-    fn apply_assignment(&mut self, assignment: Vec<u16>, slot_obs: &[u64]) -> usize {
-        let new_table = self.table.reassigned(assignment);
-        let pool = self.shards.len();
-        type Moved = (u64, Option<PairState>, Option<KeyWindow>);
-        let mut state_moves: Vec<Vec<Moved>> = (0..pool).map(|_| Vec::new()).collect();
-        let mut current_moves: Vec<Vec<u64>> = (0..pool).map(|_| Vec::new()).collect();
-
-        let mut donors = vec![false; pool];
-        for (from, (shard, counter)) in
-            self.shards.iter_mut().zip(self.counts.shards_mut().iter_mut()).enumerate()
-        {
-            // A re-targeted slot takes *everything* keyed into it: tracked
-            // pair states, but also windowed counts of pairs that were
-            // only ever observed (discovery may still promote them later,
-            // and their window history must be intact when it does).
-            let tracked = shard.slab.live_slots().map(|slot| shard.slab.key_at(slot));
-            let mut moving: Vec<u64> = tracked
-                .chain(counter.iter().map(|(packed, _)| packed))
-                .filter(|&packed| new_table.route(packed) != from)
-                .collect();
-            moving.sort_unstable();
-            moving.dedup();
-            donors[from] = !moving.is_empty();
-            for packed in moving {
-                let state = shard.slab.extract(packed);
-                let series = counter.extract_key(packed);
-                state_moves[new_table.route(packed)].push((packed, state, series));
-            }
-            // Open-tick discovery candidates follow their keys (normally
-            // empty at close time, but the hook may run mid-tick).
-            let moving_current: Vec<u64> = shard
-                .current
-                .iter()
-                .copied()
-                .filter(|&packed| new_table.route(packed) != from)
-                .collect();
-            for packed in moving_current {
-                shard.current.remove(&packed);
-                current_moves[new_table.route(packed)].push(packed);
-            }
-        }
-
-        let mut migrated = 0usize;
-        for (to, items) in state_moves.into_iter().enumerate() {
-            let counter = &mut self.counts.shards_mut()[to];
-            let shard = &mut self.shards[to];
-            for (packed, state, series) in items {
-                if let Some(state) = state {
-                    migrated += 1;
-                    shard.slab.insert_state(packed, state);
-                }
-                if let Some(series) = series {
-                    counter.merge_key(packed, &series);
-                }
-            }
-        }
-        for (to, keys) in current_moves.into_iter().enumerate() {
-            self.shards[to].current.extend(keys);
-        }
-
-        // Donors keep the slots of their departed keys otherwise, and
-        // every later close walks the slot bound, not the live count —
-        // compact them so a migration's cost ends with the migration.
-        for (index, was_donor) in donors.into_iter().enumerate() {
-            if was_donor {
-                self.shards[index].slab.shrink_to_fit();
-                self.shards[index].current.shrink_to_fit();
-                self.counts.shards_mut()[index].shrink_to_fit();
-            }
-        }
-
-        // The observation pressure follows its slots to the new owners.
-        if self.params.track_load {
-            for shard in &mut self.shards {
-                shard.slot_obs.iter_mut().for_each(|obs| *obs = 0);
-            }
-            for (slot, &obs) in slot_obs.iter().enumerate() {
-                let owner = new_table.shard_of_slot(slot);
-                self.shards[owner].slot_obs[slot] = obs;
-            }
-        }
-
-        self.routing.publish(new_table.clone());
-        self.table = Arc::new(new_table);
-        self.rebalances += 1;
-        self.migrated_pairs += migrated as u64;
-        migrated
-    }
-
-    /// Load and rebalancing metrics (see [`RegistryStats`]).
+    /// Population metrics (see [`RegistryStats`]).
     pub fn stats(&self) -> RegistryStats {
-        let pool = self.shards.len();
-        let mut per_shard_obs = vec![0u64; pool];
-        for (index, shard) in self.shards.iter().enumerate() {
-            per_shard_obs[index] = shard.slot_obs.iter().sum();
-        }
-        let per_shard_pairs: Vec<usize> =
-            self.shards.iter().map(|shard| shard.slab.len()).collect();
-        let active = self.table.active_shards();
-        let loads: Vec<u64> = (0..pool)
-            .map(|i| per_shard_obs[i] + PAIR_LOAD_WEIGHT * per_shard_pairs[i] as u64)
-            .collect();
-        let total: u64 = loads.iter().sum();
-        let mean = total as f64 / active.max(1) as f64;
-        let skew = if total == 0 {
-            1.0
-        } else {
-            loads.iter().copied().max().unwrap_or(0) as f64 / mean.max(1e-9)
-        };
         RegistryStats {
-            shards: pool,
-            active_shards: active,
+            shards: self.shards.len(),
             tracked_pairs: self.len(),
-            per_shard_pairs,
-            per_shard_obs,
-            skew,
-            routing_epoch: self.table.epoch(),
-            rebalances: self.rebalances,
-            migrated_pairs: self.migrated_pairs,
+            per_shard_pairs: self.shards.iter().map(|shard| shard.slab.len()).collect(),
             discovered: self.discovered_total(),
             evicted: self.evicted_total(),
             close_allocs: self.close_allocs
@@ -1287,29 +812,16 @@ impl ShardedPairRegistry {
         keys
     }
 
-    /// Serializes the registry's complete state — routing table + epoch,
-    /// rebalancer accumulators, every shard's tracked-pair states, and the
-    /// windowed counts *including observed-but-undiscovered keys* — into
-    /// `w` (see [`crate::snapshot`] for the framing). Map contents are
-    /// written in sorted key order so equal states produce equal bytes.
+    /// Serializes the registry's complete state — every shard's
+    /// tracked-pair states and the windowed counts *including
+    /// observed-but-undiscovered keys* — into `w` (see [`crate::snapshot`]
+    /// for the framing). Map contents are written in sorted key order so
+    /// equal states produce equal bytes.
     pub(crate) fn encode_snapshot(&self, w: &mut SnapWriter) {
-        let pool = self.shards.len();
-        w.usize(pool);
-        w.u64(self.table.epoch());
-        w.usize(self.table.slot_count());
-        for &store in self.table.assignment() {
-            w.u16(store);
-        }
-        w.opt_tick(self.last_attempt);
-        w.u64(self.rebalances);
-        w.u64(self.migrated_pairs);
+        w.usize(self.shards.len());
         for shard in &self.shards {
             w.u64(shard.discovered);
             w.u64(shard.evicted);
-            w.usize(shard.slot_obs.len());
-            for &obs in &shard.slot_obs {
-                w.u64(obs);
-            }
             let mut current: Vec<u64> = shard.current.iter().copied().collect();
             current.sort_unstable();
             w.usize(current.len());
@@ -1350,11 +862,11 @@ impl ShardedPairRegistry {
     }
 
     /// Rebuilds a registry from [`ShardedPairRegistry::encode_snapshot`]
-    /// output. The scalar parameters and the (pre-resolved) rebalance
-    /// policy come from the resuming configuration, which the caller has
-    /// already fingerprint-matched against the snapshot; structural
-    /// inconsistencies between the two still surface as typed errors,
-    /// never panics.
+    /// output. The scalar parameters come from the resuming
+    /// configuration, which the caller has already fingerprint-matched
+    /// against the snapshot; structural inconsistencies between the two —
+    /// and keys stored outside the store routing sends them to — still
+    /// surface as typed errors, never panics.
     pub(crate) fn decode_snapshot(
         r: &mut SnapReader<'_>,
         shards: usize,
@@ -1362,7 +874,6 @@ impl ShardedPairRegistry {
         half_life_ms: u64,
         min_pair_support: u64,
         max_tracked_pairs: usize,
-        rebalance: RebalanceConfig,
     ) -> Result<Self, EnBlogueError> {
         let pool = r.seq(1)?;
         if pool != shards {
@@ -1370,58 +881,32 @@ impl ShardedPairRegistry {
                 "snapshot has a pool of {pool} shard stores, configuration asks for {shards}"
             )));
         }
-        let epoch = r.u64()?;
-        let slots = r.seq(2)?;
-        if slots != shards * rebalance.slots_per_shard {
-            return Err(EnBlogueError::SnapshotConfigMismatch(format!(
-                "snapshot routing grid has {slots} slots, configuration implies {}",
-                shards * rebalance.slots_per_shard
-            )));
-        }
-        let mut assignment = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let store = r.u16()?;
-            if store as usize >= pool {
-                return Err(corrupt(format!("slot assigned to store {store} outside the pool")));
+        // Every key must sit in the store routing sends it to; a misplaced
+        // key would restore to state that routed lookups never find.
+        let placed = |packed: u64, store: usize| {
+            if shard_of_packed(packed, pool) == store {
+                Ok(packed)
+            } else {
+                Err(corrupt(format!("pair {packed:#x} stored in shard {store}, routed elsewhere")))
             }
-            assignment.push(store);
-        }
-        let table = RoutingTable::from_parts(pool, epoch, assignment);
-        let last_attempt = r.opt_tick()?;
-        let rebalances = r.u64()?;
-        let migrated_pairs = r.u64()?;
-
-        let params = PairParams {
+        };
+        let mut registry = ShardedPairRegistry::new(
+            shards,
             history_len,
             half_life_ms,
             min_pair_support,
             max_tracked_pairs,
-            slots: table.slot_count(),
-            track_load: rebalance.enabled && shards > 1,
-            scoring: ScoringMode::default(),
-        };
-        let expected_obs = if params.track_load { params.slots } else { 0 };
-        let mut stores = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let mut shard = PairShard::new(params);
+        );
+        for (store, shard) in registry.shards.iter_mut().enumerate() {
             shard.discovered = r.u64()?;
             shard.evicted = r.u64()?;
-            let obs_len = r.seq(8)?;
-            if obs_len != expected_obs {
-                return Err(corrupt(format!(
-                    "shard carries {obs_len} slot-load counters, expected {expected_obs}"
-                )));
-            }
-            for slot in 0..obs_len {
-                shard.slot_obs[slot] = r.u64()?;
-            }
             let current = r.seq(8)?;
             for _ in 0..current {
-                shard.current.insert(r.u64()?);
+                shard.current.insert(placed(r.u64()?, store)?);
             }
             let states = r.seq(8)?;
             for _ in 0..states {
-                let packed = r.u64()?;
+                let packed = placed(r.u64()?, store)?;
                 let history_values = r.seq(8)?;
                 if history_values > history_len {
                     return Err(corrupt(format!(
@@ -1445,11 +930,10 @@ impl ShardedPairRegistry {
                     return Err(corrupt(format!("pair {packed:#x} serialized twice")));
                 }
             }
-            stores.push(shard);
         }
 
         let mut counters = Vec::with_capacity(pool);
-        for _ in 0..pool {
+        for store in 0..pool {
             let newest = r.opt_tick()?;
             let ticks = r.seq(8)?;
             if ticks > history_len {
@@ -1465,7 +949,7 @@ impl ShardedPairRegistry {
                 let entries = r.seq(16)?;
                 let mut map = Vec::with_capacity(entries);
                 for _ in 0..entries {
-                    let key = r.u64()?;
+                    let key = placed(r.u64()?, store)?;
                     let count = r.u64()?;
                     map.push((key, count));
                 }
@@ -1473,21 +957,8 @@ impl ShardedPairRegistry {
             }
             counters.push(WindowedCounter::from_per_tick_counts(history_len, newest, per_tick));
         }
-
-        Ok(ShardedPairRegistry {
-            shards: stores,
-            counts: ShardedWindowedCounter::from_shards(counters),
-            params,
-            rebalance,
-            routing: SharedRouting::new(table.clone()),
-            table: Arc::new(table),
-            last_attempt,
-            rebalances,
-            migrated_pairs,
-            cap_scratch: Vec::new(),
-            close_allocs: 0,
-            journal: Journal::disabled(),
-        })
+        registry.counts = ShardedWindowedCounter::from_shards(counters);
+        Ok(registry)
     }
 
     /// Serializes the registry's complete state into a standalone byte
@@ -1508,7 +979,6 @@ impl ShardedPairRegistry {
     /// [`EnBlogueError::SnapshotCorrupt`] /
     /// [`EnBlogueError::SnapshotConfigMismatch`] exactly as the engine
     /// restore path surfaces them (truncation never panics).
-    #[allow(clippy::too_many_arguments)]
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         shards: usize,
@@ -1516,7 +986,6 @@ impl ShardedPairRegistry {
         half_life_ms: u64,
         min_pair_support: u64,
         max_tracked_pairs: usize,
-        rebalance: RebalanceConfig,
     ) -> Result<Self, EnBlogueError> {
         let mut r = SnapReader::new(bytes);
         let registry = Self::decode_snapshot(
@@ -1526,82 +995,10 @@ impl ShardedPairRegistry {
             half_life_ms,
             min_pair_support,
             max_tracked_pairs,
-            rebalance,
         )?;
         r.finish()?;
         Ok(registry)
     }
-}
-
-/// Deterministic incremental rebalancing: starting from `current`, place
-/// slots living on stores outside `0..stores` (after a resize) by
-/// longest-processing-time greedy, then repeatedly move the heaviest
-/// profitable slot from the most- to the least-loaded store until no move
-/// shrinks the makespan.
-///
-/// Unlike LPT-from-scratch, a slot only moves when the move itself pays,
-/// so migration volume is proportional to the *imbalance* (a handful of
-/// hot slots after a burst), not to the whole tracked population.
-/// Everything ties on (load, index), so the result is a pure function of
-/// its inputs — part of the replay-determinism contract.
-fn refine_assignment(current: &[u16], slot_load: &[u64], stores: usize) -> Vec<u16> {
-    debug_assert!(stores >= 1 && stores <= u16::MAX as usize);
-    let mut assignment = current.to_vec();
-    let mut store_load = vec![0u64; stores];
-    let mut homeless: Vec<usize> = Vec::new();
-    for (slot, &store) in current.iter().enumerate() {
-        if (store as usize) < stores {
-            store_load[store as usize] += slot_load[slot];
-        } else {
-            homeless.push(slot);
-        }
-    }
-    // Re-home slots of retired stores, heaviest first onto the lightest.
-    homeless.sort_unstable_by(|&a, &b| slot_load[b].cmp(&slot_load[a]).then(a.cmp(&b)));
-    for slot in homeless {
-        let target = min_store(&store_load);
-        assignment[slot] = target as u16;
-        store_load[target] += slot_load[slot];
-    }
-    // Refinement: move the largest slot that strictly shrinks the
-    // max-min gap, until none does. Bounded by the slot count — each
-    // move strictly reduces the (max, -min) pair lexicographically.
-    for _ in 0..assignment.len() {
-        let from = max_store(&store_load);
-        let to = min_store(&store_load);
-        let gap = store_load[from] - store_load[to];
-        let candidate = assignment
-            .iter()
-            .enumerate()
-            .filter(|&(slot, &store)| store as usize == from && slot_load[slot] > 0)
-            .filter(|&(slot, _)| slot_load[slot] < gap)
-            .max_by_key(|&(slot, _)| (slot_load[slot], usize::MAX - slot));
-        let Some((slot, _)) = candidate else { break };
-        assignment[slot] = to as u16;
-        store_load[from] -= slot_load[slot];
-        store_load[to] += slot_load[slot];
-    }
-    assignment
-}
-
-/// Index of the least-loaded store (ties: lowest index).
-fn min_store(store_load: &[u64]) -> usize {
-    store_load
-        .iter()
-        .enumerate()
-        .min_by_key(|&(index, &load)| (load, index))
-        .expect("at least one store")
-        .0
-}
-
-/// Index of the most-loaded store (ties: lowest index).
-fn max_store(store_load: &[u64]) -> usize {
-    store_load
-        .iter()
-        .enumerate()
-        .max_by_key(|&(index, &load)| (load, usize::MAX - index))
-        .expect("at least one store")
-        .0
 }
 
 #[cfg(test)]
@@ -1837,10 +1234,9 @@ mod tests {
         let run = |partitioned: bool, parallel: bool| {
             let mut r = ShardedPairRegistry::new(shards, 6, Timestamp::DAY, 1, 1000);
             if partitioned {
-                let table = r.routing_handle().snapshot();
                 let mut buckets: Vec<Vec<(Tick, u64)>> = vec![Vec::new(); shards];
                 for &(tick, packed) in &observations {
-                    buckets[table.route(packed)].push((tick, packed));
+                    buckets[shard_of_packed(packed, shards)].push((tick, packed));
                 }
                 r.ingest_partitioned(&buckets, parallel);
             } else {
@@ -1869,236 +1265,44 @@ mod tests {
         r.ingest_partitioned(&buckets, false);
     }
 
-    /// A rebalance policy that reacts to everything immediately (for
-    /// deterministic unit workloads far below the production thresholds).
-    fn eager_rebalance() -> RebalanceConfig {
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: 4,
-            target_pairs_per_shard: 8,
-            min_skew: 1.01,
-            cap_pressure: 0.5,
-            min_tracked_pairs: 1,
-            cooldown_ticks: 0,
-            min_active_shards: 1,
-        }
-    }
-
     #[test]
-    fn migrate_to_preserves_states_counts_and_rankings() {
+    fn snapshot_restore_rejects_misplaced_keys() {
+        let shards = 4;
         let build = || {
-            let mut r = ShardedPairRegistry::with_rebalance(
+            let mut r = ShardedPairRegistry::new(shards, 4, Timestamp::DAY, 1, 1000);
+            for a in 0..8u32 {
+                r.observe_pair(Tick(0), pair(a, a + 50).packed());
+                r.discover(pair(a, a + 50), Tick(0), 0);
+            }
+            r
+        };
+        let restore = |r: &ShardedPairRegistry| {
+            ShardedPairRegistry::from_snapshot_bytes(
+                &r.snapshot_bytes(),
+                shards,
                 4,
-                6,
                 Timestamp::DAY,
                 1,
                 1000,
-                eager_rebalance(),
-            );
-            let s = scorer();
-            for a in 0..12u32 {
-                let p = pair(a, a + 50);
-                for t in 0..4u64 {
-                    r.observe_pair(Tick(t), p.packed());
-                }
-                r.discover(p, Tick(0), 0);
-                r.update_pair(p, 0.0, 2, Tick(0), hour(0), &s);
-                r.update_pair(p, 0.1 * (a as f64 + 1.0), 2, Tick(1), hour(1), &s);
-            }
-            r.advance_to(Tick(3));
-            r
+            )
         };
-        let mut migrated = build();
-        let reference = build();
+        let restored = restore(&build()).expect("a well-placed registry restores");
+        assert_eq!(restored.tracked_keys(), build().tracked_keys());
 
-        // Collapse everything onto store 3, then re-spread.
-        let slots = migrated.routing_handle().snapshot().slot_count();
-        let moved = migrated.migrate_to(vec![3; slots]);
-        assert!(moved > 0, "keys actually moved");
-        assert_eq!(migrated.routing_epoch(), 1);
-        assert_eq!(migrated.stats().active_shards, 1);
-        let respread: Vec<u16> = (0..slots).map(|slot| (slot % 4) as u16).collect();
-        migrated.migrate_to(respread);
-        assert_eq!(migrated.routing_epoch(), 2);
-        assert_eq!(migrated.stats().active_shards, 4);
-
-        // Every observable is bit-identical to the never-migrated registry.
-        assert_eq!(migrated.tracked_keys(), reference.tracked_keys());
-        assert_eq!(migrated.ranking(20, hour(1)), reference.ranking(20, hour(1)));
-        for &key in &reference.tracked_keys() {
-            let p = TagPair::from_packed(key);
-            assert_eq!(migrated.pair_count(p), reference.pair_count(p), "counts of {p}");
-            assert_eq!(migrated.history_of(p), reference.history_of(p), "history of {p}");
-            assert_eq!(
-                migrated.info(p, Tick(2), hour(2)),
-                reference.info(p, Tick(2), hour(2)),
-                "info of {p}"
+        let stray = pair(7, 900).packed();
+        let wrong = (shard_of_packed(stray, shards) + 1) % shards;
+        let mut tracked = build();
+        tracked.shards[wrong].slab.insert_fresh(stray, Tick(0), 0, Timestamp::DAY);
+        let mut candidate = build();
+        candidate.shards[wrong].current.insert(stray);
+        let mut counted = build();
+        counted.counts.increment(wrong, Tick(0), stray);
+        for (what, r) in [("tracked", tracked), ("candidate", candidate), ("counted", counted)] {
+            assert!(
+                matches!(restore(&r), Err(EnBlogueError::SnapshotCorrupt(msg)) if msg.contains("routed")),
+                "a misplaced {what} key must be refused"
             );
         }
-        assert!(migrated.stats().migrated_pairs >= moved as u64);
-        assert_eq!(migrated.stats().rebalances, 2);
-    }
-
-    #[test]
-    fn maybe_rebalance_consolidates_a_small_serial_registry() {
-        // 4-store pool, serial floor of 1, tiny sizing target ⇒ the
-        // policy shrinks the active store count to fit the population.
-        let mut r =
-            ShardedPairRegistry::with_rebalance(4, 6, Timestamp::DAY, 1, 1000, eager_rebalance());
-        let s = scorer();
-        for a in 0..6u32 {
-            let p = pair(a, a + 10);
-            r.observe_pair(Tick(0), p.packed());
-            r.discover(p, Tick(0), 0);
-            r.update_pair(p, 0.2, 1, Tick(0), hour(0), &s);
-        }
-        assert_eq!(r.stats().active_shards, 4, "uniform table before the first decision");
-        let migrated = r.maybe_rebalance(Tick(0));
-        assert!(migrated > 0, "6 pairs at a target of 8 per store fit one store");
-        let stats = r.stats();
-        assert_eq!(stats.active_shards, 1);
-        assert_eq!(stats.rebalances, 1);
-        assert!(stats.routing_epoch >= 1);
-        assert_eq!(r.len(), 6, "no pair lost in the move");
-    }
-
-    #[test]
-    fn maybe_rebalance_grows_with_the_population() {
-        let mut r =
-            ShardedPairRegistry::with_rebalance(4, 6, Timestamp::DAY, 1, 10_000, eager_rebalance());
-        let s = scorer();
-        // Start small → consolidates; then grow past several store
-        // targets → the policy expands again.
-        for a in 0..4u32 {
-            let p = pair(a, a + 1000);
-            r.discover(p, Tick(0), 0);
-            r.update_pair(p, 0.2, 1, Tick(0), hour(0), &s);
-        }
-        r.maybe_rebalance(Tick(0));
-        assert_eq!(r.stats().active_shards, 1);
-        for a in 4..40u32 {
-            let p = pair(a, a + 1000);
-            r.discover(p, Tick(1), 0);
-            r.update_pair(p, 0.2, 1, Tick(1), hour(1), &s);
-        }
-        r.maybe_rebalance(Tick(1));
-        let stats = r.stats();
-        assert_eq!(stats.active_shards, 4, "40 pairs / target 8 wants 5, clamped to the pool");
-        assert_eq!(stats.tracked_pairs, 40);
-        let spread = stats.per_shard_pairs.iter().filter(|&&n| n > 0).count();
-        assert_eq!(spread, 4, "pairs actually spread over the grown stores");
-    }
-
-    #[test]
-    fn skewed_observation_load_triggers_a_respread() {
-        // Two stores; drive all observation pressure onto the slots of
-        // one store while pairs stay balanced. The skew trigger must
-        // re-spread the hot slots.
-        let mut r = ShardedPairRegistry::with_rebalance(
-            2,
-            6,
-            Timestamp::DAY,
-            1,
-            1000,
-            RebalanceConfig {
-                target_pairs_per_shard: 2, // keep both stores active
-                ..eager_rebalance()
-            },
-        );
-        let s = scorer();
-        let table = r.routing_handle().snapshot();
-        // Track a balanced set of pairs.
-        for a in 0..8u32 {
-            let p = pair(a, a + 100);
-            r.discover(p, Tick(0), 0);
-            r.update_pair(p, 0.2, 1, Tick(0), hour(0), &s);
-        }
-        // Hammer observations whose slots currently route to store 0.
-        let mut hot = Vec::new();
-        for a in 0..200u32 {
-            let packed = pair(a, a + 5000).packed();
-            if table.route(packed) == 0 {
-                hot.push(packed);
-            }
-        }
-        for _ in 0..50 {
-            for &packed in hot.iter().take(8) {
-                r.observe_pair(Tick(0), packed);
-            }
-        }
-        let skew_before = r.stats().skew;
-        assert!(skew_before > 1.2, "setup must actually skew store 0: {skew_before}");
-        let migrated = r.maybe_rebalance(Tick(0));
-        assert!(migrated > 0 || r.stats().rebalances > 0, "hot slots re-spread");
-        assert!(r.stats().skew < skew_before, "skew reduced: {}", r.stats().skew);
-    }
-
-    #[test]
-    fn disabled_rebalancer_keeps_the_uniform_table() {
-        let mut r = ShardedPairRegistry::new(4, 6, Timestamp::DAY, 1, 10);
-        let s = scorer();
-        for a in 0..30u32 {
-            let p = pair(a, a + 10);
-            r.observe_pair(Tick(0), p.packed());
-            r.discover(p, Tick(0), 0);
-            r.update_pair(p, 0.2, 1, Tick(0), hour(0), &s);
-        }
-        assert_eq!(r.maybe_rebalance(Tick(0)), 0);
-        let stats = r.stats();
-        assert_eq!(stats.routing_epoch, 0);
-        assert_eq!(stats.rebalances, 0);
-        assert_eq!(stats.active_shards, 4);
-        assert_eq!(stats.per_shard_obs, vec![0; 4], "no load accounting when disabled");
-    }
-
-    #[test]
-    fn refine_assignment_balances_and_is_deterministic() {
-        // All load starts on store 0; refinement must spread it.
-        let current = vec![0u16; 8];
-        let loads = vec![100u64, 1, 1, 1, 50, 50, 0, 0];
-        let a = super::refine_assignment(&current, &loads, 2);
-        assert_eq!(a, super::refine_assignment(&current, &loads, 2), "deterministic");
-        let mut store = [0u64; 2];
-        for (slot, &s) in a.iter().enumerate() {
-            store[s as usize] += loads[slot];
-        }
-        assert_eq!(store.iter().sum::<u64>(), 203);
-        assert!(store[0].abs_diff(store[1]) <= 3, "near-balance: {store:?}");
-        // Everything stays put when there is only one store.
-        assert_eq!(super::refine_assignment(&current, &loads, 1), current);
-    }
-
-    #[test]
-    fn refine_assignment_moves_only_what_imbalance_requires() {
-        // A balanced placement with one hot slot colliding onto store 0:
-        // only that slot (or an equivalent-load one) should move.
-        let current = vec![0u16, 1, 0, 1, 0, 1];
-        let loads = vec![10u64, 10, 10, 10, 80, 0];
-        let a = super::refine_assignment(&current, &loads, 2);
-        let moved: Vec<usize> =
-            (0..6).filter(|&slot| a[slot] != current[slot] && loads[slot] > 0).collect();
-        assert!(moved.len() <= 2, "migration stays proportional to the imbalance: {a:?}");
-        assert_eq!(a[4], 0, "the un-splittable hot slot itself need not move");
-        let mut store = [0u64; 2];
-        for (slot, &s) in a.iter().enumerate() {
-            store[s as usize] += loads[slot];
-        }
-        assert_eq!(store[0].max(store[1]), 80, "makespan reaches the hot-slot bound: {store:?}");
-    }
-
-    #[test]
-    fn refine_assignment_rehomes_slots_of_retired_stores() {
-        // Shrinking 4 → 2 stores: slots of stores 2 and 3 must land on
-        // stores 0/1, loaded ones spread by LPT.
-        let current = vec![0u16, 1, 2, 3, 2, 3];
-        let loads = vec![10u64, 10, 30, 30, 5, 5];
-        let a = super::refine_assignment(&current, &loads, 2);
-        assert!(a.iter().all(|&s| s < 2), "no slot left on a retired store: {a:?}");
-        let mut store = [0u64; 2];
-        for (slot, &s) in a.iter().enumerate() {
-            store[s as usize] += loads[slot];
-        }
-        assert!(store[0].abs_diff(store[1]) <= 10, "re-homed near-balanced: {store:?}");
     }
 
     #[test]

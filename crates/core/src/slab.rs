@@ -14,7 +14,7 @@
 //! walks slots linearly and hands the scorer its ring segments in place
 //! ([`enblogue_stats::predict::SeriesView`]); the key→slot hash map is
 //! consulted only on ingest-side operations (discovery, point lookups,
-//! migration).
+//! snapshot restore).
 //!
 //! Deterministic iteration order is maintained *incrementally*: a sorted
 //! view of the live slots (ascending key) is repaired only when membership
@@ -28,8 +28,8 @@ use enblogue_types::{FxHashMap, Tick};
 use enblogue_window::{DecayValue, RingBuffer};
 
 /// Detached per-pair tracked state — the transfer representation used by
-/// shard migration and snapshot restore (the resident representation is
-/// the slab's column vectors).
+/// snapshot restore (the resident representation is the slab's column
+/// vectors).
 pub struct PairState {
     /// Correlation values of past ticks (oldest → newest), the predictor's
     /// input window.
@@ -205,8 +205,7 @@ impl PairSlab {
         true
     }
 
-    /// Inserts a detached [`PairState`] (migration receiver / snapshot
-    /// restore). Returns `false` (no change) if `key` is already tracked.
+    /// Inserts a detached [`PairState`] (snapshot restore). Returns `false` (no change) if `key` is already tracked.
     ///
     /// # Panics
     /// Panics if the state's history exceeds `history_len`.
@@ -246,24 +245,6 @@ impl PairSlab {
             }
             None => false,
         }
-    }
-
-    /// Removes `key` and returns its detached state (migration donor).
-    pub fn extract(&mut self, key: u64) -> Option<PairState> {
-        let slot = self.slot_of(key)?;
-        let mut history = RingBuffer::new(self.history_len);
-        let (older, newer) = self.history_parts(slot);
-        for &value in older.iter().chain(newer) {
-            history.push(value);
-        }
-        let state = PairState {
-            history,
-            score: self.score[slot],
-            last_support: self.last_support[slot],
-            since: self.since[slot],
-        };
-        self.remove_slot(slot);
-        Some(state)
     }
 
     /// The history ring of `slot` as `(older, newer)` contiguous runs,
@@ -429,51 +410,6 @@ impl PairSlab {
     pub fn close_allocs(&self) -> u64 {
         self.close_allocs
     }
-
-    /// Releases excess capacity and compacts the slab onto its live slots
-    /// (call after bulk removals, e.g. a migration: linear walks cover
-    /// the slot *bound*, so departed slots otherwise cost forever).
-    pub fn shrink_to_fit(&mut self) {
-        self.refresh_sorted();
-        let live_count = self.index.len();
-        let mut keys = Vec::with_capacity(live_count);
-        let mut live = Vec::with_capacity(live_count);
-        let mut score = Vec::with_capacity(live_count);
-        let mut last_support = Vec::with_capacity(live_count);
-        let mut since = Vec::with_capacity(live_count);
-        let mut hist = Vec::with_capacity(live_count * self.history_len);
-        let mut hist_head = Vec::with_capacity(live_count);
-        let mut hist_count = Vec::with_capacity(live_count);
-        // Walk the sorted view so the compacted slab is in key order and
-        // the view maps 1:1 onto the new slots.
-        for (new_slot, &old_slot) in self.sorted.iter().enumerate() {
-            let old_slot = old_slot as usize;
-            keys.push(self.keys[old_slot]);
-            live.push(true);
-            score.push(self.score[old_slot]);
-            last_support.push(self.last_support[old_slot]);
-            since.push(self.since[old_slot]);
-            let base = old_slot * self.history_len;
-            hist.extend_from_slice(&self.hist[base..base + self.history_len]);
-            hist_head.push(self.hist_head[old_slot]);
-            hist_count.push(self.hist_count[old_slot]);
-            *self.index.get_mut(&self.keys[old_slot]).expect("live slot is indexed") =
-                new_slot as u32;
-        }
-        self.keys = keys;
-        self.live = live;
-        self.score = score;
-        self.last_support = last_support;
-        self.since = since;
-        self.hist = hist;
-        self.hist_head = hist_head;
-        self.hist_count = hist_count;
-        self.free.clear();
-        self.free.shrink_to_fit();
-        self.limbo.shrink_to_fit();
-        self.sorted = (0..live_count as u32).collect();
-        self.index.shrink_to_fit();
-    }
 }
 
 #[cfg(test)]
@@ -542,48 +478,30 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_insert_state_preserve_columns() {
+    fn insert_state_restores_columns() {
+        let mut history = RingBuffer::new(4);
+        for v in [0.5, 0.75, 0.9, 0.95] {
+            history.push(v);
+        }
+        let mut score = DecayValue::new(1000);
+        score.set(Timestamp::from_hours(7), 0.625);
+        let state = PairState { history, score, last_support: Tick(6), since: Tick(3) };
         let mut s = slab();
-        s.insert_fresh(42, Tick(3), 1, 1000);
+        assert!(s.insert_state(42, state));
         let slot = s.slot_of(42).unwrap();
-        for v in [0.25, 0.5, 0.75, 0.9, 0.95] {
-            s.push_history(slot, v);
-        }
-        s.score_mut(slot).set(Timestamp::from_hours(7), 0.625);
-        s.set_last_support(slot, Tick(6));
-        let state = s.extract(42).expect("tracked");
-        assert!(s.is_empty());
-        let mut t = slab();
-        assert!(t.insert_state(42, state));
-        let slot = t.slot_of(42).unwrap();
-        let (older, newer) = t.history_parts(slot);
+        let (older, newer) = s.history_parts(slot);
         let joined: Vec<f64> = older.iter().chain(newer).copied().collect();
-        assert_eq!(joined, vec![0.5, 0.75, 0.9, 0.95], "ring tail survives the round-trip");
-        assert_eq!(t.score_at(slot).value_at(Timestamp::from_hours(7)), 0.625);
-        assert_eq!(t.last_support_at(slot), Tick(6));
-        assert_eq!(t.since_at(slot), Tick(3));
-    }
-
-    #[test]
-    fn shrink_to_fit_compacts_live_slots() {
-        let mut s = slab();
-        for key in 0..20u64 {
-            s.insert_fresh(key * 2, Tick(0), 0, 1000);
-            let slot = s.slot_of(key * 2).unwrap();
-            s.push_history(slot, key as f64);
-        }
-        for key in 0..15u64 {
-            s.remove(key * 2);
-        }
-        s.shrink_to_fit();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.slot_bound(), 5, "dead slots compacted away");
-        for key in 15..20u64 {
-            let slot = s.slot_of(key * 2).expect("survivor");
-            assert_eq!(s.newest_history(slot), Some(key as f64));
-        }
-        s.refresh_sorted();
-        assert_eq!(s.sorted_slots().len(), 5);
+        assert_eq!(joined, vec![0.5, 0.75, 0.9, 0.95]);
+        assert_eq!(s.score_at(slot).value_at(Timestamp::from_hours(7)), 0.625);
+        assert_eq!(s.last_support_at(slot), Tick(6));
+        assert_eq!(s.since_at(slot), Tick(3));
+        let again = PairState {
+            history: RingBuffer::new(4),
+            score: DecayValue::new(1000),
+            last_support: Tick(0),
+            since: Tick(0),
+        };
+        assert!(!s.insert_state(42, again), "a tracked key is not overwritten");
     }
 
     #[test]

@@ -1,26 +1,28 @@
 //! Versioned checkpoint/restore of the full engine state.
 //!
-//! EnBlogue is a continuously running service: tag-pair windows, shift
-//! scores and the routing epoch accumulate over the whole stream, so a
-//! crash loses state that replay alone can only rebuild by re-reading
-//! everything. This module is the failover answer: the complete
-//! [`crate::stages::PipelineState`] — per-shard pair states, windowed
-//! counts *including observed-but-undiscovered keys*, the routing table
-//! with its epoch, the rebalancer's load accumulators, seed-tracker
-//! windows, and the tick cursor — serializes into one length-prefixed,
-//! checksummed binary file, written atomically (temp file + rename) and
-//! restored into a fresh pipeline that continues mid-stream.
+//! EnBlogue is a continuously running service: tag-pair windows and shift
+//! scores accumulate over the whole stream, so a crash loses state that
+//! replay alone can only rebuild by re-reading everything. This module is
+//! the failover answer: the complete [`crate::stages::PipelineState`] —
+//! per-shard pair states, windowed counts *including
+//! observed-but-undiscovered keys*, seed-tracker windows, and the tick
+//! cursor — serializes into one length-prefixed, checksummed binary file,
+//! written atomically (temp file + rename) and restored into a fresh
+//! pipeline that continues mid-stream. Shard routing is static hash
+//! routing, so the file carries no routing section: restore checks that
+//! every key sits in the store `shard_of_packed` names and refuses the
+//! file otherwise.
 //!
 //! The headline invariant, pinned by `tests/stage_parity.rs` and
 //! `crates/core/tests/prop_snapshot.rs`: **checkpoint at any tick close +
 //! restore + replay of the tail produces byte-identical rankings to the
 //! uninterrupted run**, across every execution knob (shard count, close
-//! mode, ingest workers, rebalance policy). Restores of truncated,
+//! mode, ingest workers). Restores of truncated,
 //! corrupted, or incompatible files surface a typed
 //! [`EnBlogueError`] — never a panic: a half-written checkpoint from a
 //! crash is exactly the input the restore path exists for.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! ```text
 //! magic   8 bytes  b"ENBSNP01"
@@ -54,9 +56,11 @@ use std::path::{Path, PathBuf};
 ///
 /// Version 2 appended the event-time robustness sections (reordering
 /// buffer — pending documents included — and source-guard state) behind
-/// presence bytes; version-1 files are rejected with a typed
+/// presence bytes. Version 3 dropped the registry's routing-table and
+/// load-accounting section when routing became static. Files of any
+/// other version are rejected with a typed
 /// [`EnBlogueError::SnapshotVersionMismatch`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File magic: identifies EnBlogue snapshots regardless of extension.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ENBSNP01";
@@ -97,8 +101,8 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The snapshot section itself is excluded (changing where checkpoints go
 /// must not invalidate old checkpoints); everything else — semantic knobs
 /// *and* execution knobs — must match exactly for a resume, because the
-/// restored structures (shard pool, slot grid, window lengths, sketch
-/// capacities) are sized by them.
+/// restored structures (shard pool, window lengths, sketch capacities)
+/// are sized by them.
 pub(crate) fn config_fingerprint(config: &EnBlogueConfig) -> u64 {
     let mut config = config.clone();
     config.snapshot = SnapshotConfig::default();
@@ -140,10 +144,6 @@ impl SnapWriter {
 
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
@@ -217,10 +217,6 @@ impl<'a> SnapReader<'a> {
 
     pub(crate) fn u8(&mut self) -> Result<u8, EnBlogueError> {
         Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, EnBlogueError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, EnBlogueError> {
@@ -466,7 +462,6 @@ mod tests {
     fn codec_round_trips_every_primitive() {
         let mut w = SnapWriter::new();
         w.u8(7);
-        w.u16(65_000);
         w.u32(123_456);
         w.u64(u64::MAX - 1);
         w.f64(-0.125);
@@ -478,7 +473,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 65_000);
         assert_eq!(r.u32().unwrap(), 123_456);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), -0.125);
@@ -534,17 +528,20 @@ mod tests {
         std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
         assert!(matches!(read_snapshot_payload(&path), Err(EnBlogueError::SnapshotCorrupt(_))));
 
-        // Wrong version.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&SNAPSHOT_MAGIC);
-        raw.extend_from_slice(&99u32.to_le_bytes());
-        raw.extend_from_slice(&0u64.to_le_bytes());
-        raw.extend_from_slice(&fnv1a64(b"").to_le_bytes());
-        std::fs::write(&path, &raw).unwrap();
-        assert_eq!(
-            read_snapshot_payload(&path),
-            Err(EnBlogueError::SnapshotVersionMismatch { found: 99, supported: SNAPSHOT_VERSION })
-        );
+        // Wrong version: a future one, and version 2 (the last format
+        // with a routing section).
+        for found in [99u32, 2] {
+            let mut raw = Vec::new();
+            raw.extend_from_slice(&SNAPSHOT_MAGIC);
+            raw.extend_from_slice(&found.to_le_bytes());
+            raw.extend_from_slice(&0u64.to_le_bytes());
+            raw.extend_from_slice(&fnv1a64(b"").to_le_bytes());
+            std::fs::write(&path, &raw).unwrap();
+            assert_eq!(
+                read_snapshot_payload(&path),
+                Err(EnBlogueError::SnapshotVersionMismatch { found, supported: SNAPSHOT_VERSION })
+            );
+        }
 
         // Wrong magic.
         std::fs::write(&path, b"NOTASNAPSHOTFILE----------------").unwrap();

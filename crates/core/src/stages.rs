@@ -67,11 +67,11 @@ pub struct EngineCounters {
     pub distinct_tags: usize,
     /// Shard-store pool size of the pair registry.
     pub shards: usize,
-    /// Current routing epoch (0 until the first rebalance migrates).
-    pub routing_epoch: u64,
-    /// Shard rebalances applied.
+    /// Shard rebalances applied. Always 0: routing is static hash
+    /// sharding, so no key ever changes stores.
     pub rebalances: u64,
-    /// Pair states migrated between shard stores.
+    /// Pair states migrated between shard stores. Always 0, for the same
+    /// reason as [`EngineCounters::rebalances`].
     pub pairs_migrated: u64,
     /// Checkpoints written by this process (stage hook + explicit API).
     pub snapshots_taken: u64,
@@ -115,7 +115,7 @@ pub struct EngineTimings {
     /// shift update over all tracked pairs).
     pub close_score_micros: u64,
     /// Cumulative microseconds the close spent on expiry (support
-    /// eviction, the cap pass and the rebalance decision).
+    /// eviction and the cap pass).
     pub close_expiry_micros: u64,
     /// Cumulative microseconds the close spent merging the top-k
     /// ranking.
@@ -252,16 +252,12 @@ impl PipelineState {
             MeasureKind::JsDivergence => Some(WindowedTermDists::new(config.window_ticks)),
             MeasureKind::Set(_) => None,
         };
-        let mut registry = ShardedPairRegistry::with_rebalance(
+        let mut registry = ShardedPairRegistry::new(
             config.shards,
             config.window_ticks,
             config.half_life_ms,
             config.min_pair_support,
             config.max_tracked_pairs,
-            // The automatic active-store floor resolves against the
-            // close mode: a parallel close keeps the whole pool busy,
-            // a serial close may consolidate for locality.
-            config.rebalance.resolved(config.shards, config.parallel_close),
         );
         registry.set_scoring(config.scoring_mode);
         let telemetry = if config.telemetry.enabled {
@@ -396,7 +392,6 @@ impl PipelineState {
 
     /// Current run-time counters and timing views.
     pub fn metrics(&self) -> EngineMetrics {
-        let registry_stats = self.registry.stats();
         EngineMetrics {
             counters: EngineCounters {
                 docs_processed: self.docs_processed,
@@ -407,9 +402,8 @@ impl PipelineState {
                 seeds_current: self.seeds.len(),
                 distinct_tags: self.seed_tracker.distinct_tags(),
                 shards: self.registry.shard_count(),
-                routing_epoch: registry_stats.routing_epoch,
-                rebalances: registry_stats.rebalances,
-                pairs_migrated: registry_stats.migrated_pairs,
+                rebalances: 0,
+                pairs_migrated: 0,
                 snapshots_taken: self.snapshots_taken,
                 snapshot_bytes_written: self.snapshot_bytes,
                 snapshot_failures: self.snapshot_failures,
@@ -590,7 +584,6 @@ impl PipelineState {
             config.half_life_ms,
             config.min_pair_support,
             config.max_tracked_pairs,
-            config.rebalance.resolved(config.shards, config.parallel_close),
         )?;
         registry.set_scoring(config.scoring_mode);
         let event = match (r.u8()?, config.event_time.enabled) {
@@ -1001,11 +994,6 @@ impl TickStage for ShiftScoreStage {
         score_span.finish();
         let _expiry_span = enblogue_telemetry::span!(probes.close_expiry);
         registry.evict_parallel(tick, now, parallel);
-        // Tick-aligned rebalance decision, after eviction so the policy
-        // sees the post-eviction population. Migration preserves every
-        // pair's state bit-for-bit, so rankings are unaffected — pinned
-        // by `tests/stage_parity.rs` across rebalance on/off grids.
-        registry.maybe_rebalance(tick);
     }
 }
 
@@ -1145,10 +1133,6 @@ pub struct StagePipeline {
     /// Tick of the first processed document — where gap closing starts
     /// when no tick has been closed yet.
     first_open: Option<Tick>,
-    /// Batches that arrived bucketed under a superseded routing epoch and
-    /// had to be re-partitioned (timing-dependent, so deliberately *not*
-    /// part of [`EngineMetrics`], which tests compare across feed modes).
-    stale_repartitions: u64,
     /// Scratch for documents the reordering buffer releases (reused
     /// across [`StagePipeline::offer_doc`] calls).
     event_ready_buf: Vec<Document>,
@@ -1202,7 +1186,6 @@ impl StagePipeline {
             annotation_buf: Vec::with_capacity(16),
             last_closed,
             first_open,
-            stale_repartitions: 0,
             event_ready_buf: Vec::new(),
             drops_reported,
         }
@@ -1313,15 +1296,14 @@ impl StagePipeline {
         }
     }
 
-    /// The partitioning parameters batched feeders need (the pair-space
-    /// slice of the engine configuration, plus the registry's live
-    /// routing handle — partitioning workers snapshot it per batch and
-    /// follow rebalances as they are published).
+    /// The partitioning parameters batched feeders need: the pair-space
+    /// slice of the engine configuration, including the shard count that
+    /// static routing hashes keys over.
     pub fn partition_spec(&self) -> PartitionSpec {
         PartitionSpec {
             tick_spec: self.state.config.tick_spec,
             use_entities: self.state.config.use_entities,
-            routing: self.state.registry.routing_handle(),
+            shards: self.state.registry.shard_count(),
         }
     }
 
@@ -1388,21 +1370,6 @@ impl StagePipeline {
                 self.process_doc(doc);
             }
             return;
-        }
-        if partitioned.routing_epoch != self.state.registry.routing_epoch() {
-            // A rebalance migrated shard ownership between partitioning
-            // (on a worker thread) and application: the buckets route to
-            // the wrong stores now. Re-partition under the current table.
-            // This re-pays the batch's full partitioning cost (including
-            // tokenization — the batch does not retain the flat
-            // observation stream), but only for the handful of batches in
-            // flight across a rebalance, and rebalances are cooldown-
-            // spaced. The fresh batch carries the current epoch, so the
-            // recursion terminates after one step (no close can
-            // interleave on this thread).
-            self.stale_repartitions += 1;
-            let fresh = partition_docs(docs, &self.partition_spec());
-            return self.process_partitioned(docs, &fresh);
         }
         assert_eq!(partitioned.docs, docs.len(), "partitioned batch does not match the slice");
         for doc in docs {
@@ -1762,14 +1729,6 @@ impl StagePipeline {
     /// Run-time counters.
     pub fn metrics(&self) -> EngineMetrics {
         self.state.metrics()
-    }
-
-    /// Batches re-partitioned because a rebalance superseded their
-    /// routing epoch while they were in flight (see
-    /// [`StagePipeline::process_partitioned`]). Timing-dependent; for
-    /// observability, not for replay comparison.
-    pub fn stale_repartitions(&self) -> u64 {
-        self.stale_repartitions
     }
 }
 

@@ -2,12 +2,12 @@
 //! registry (slab columns, arena history rings, lane-based windowed
 //! counts, incrementally maintained iteration order) must be observably
 //! indistinguishable from a straightforward map-of-structs reference
-//! model under random ingest / close / evict / migrate /
-//! snapshot-restore sequences — including bit-exact scores, since both
+//! model under random ingest / close / evict / snapshot-restore
+//! sequences — including bit-exact scores, since both
 //! sides must perform the identical float operations in the identical
 //! order.
 
-use enblogue_core::pairs::{RebalanceConfig, ShardedPairRegistry};
+use enblogue_core::pairs::ShardedPairRegistry;
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::{ErrorNormalization, ShiftScorer};
 use enblogue_types::{FxHashSet, TagId, TagPair, Tick, Timestamp};
@@ -16,8 +16,6 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 const POOL: usize = 4;
-const SLOTS_PER_SHARD: usize = 4;
-const SLOTS: usize = POOL * SLOTS_PER_SHARD;
 const WINDOW: usize = 5;
 const MIN_SUPPORT: u64 = 1;
 const CAP: usize = 12;
@@ -140,60 +138,29 @@ impl RefModel {
 }
 
 fn registry() -> ShardedPairRegistry {
-    ShardedPairRegistry::with_rebalance(
-        POOL,
-        WINDOW,
-        Timestamp::DAY,
-        MIN_SUPPORT,
-        CAP,
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: SLOTS_PER_SHARD,
-            // Quiet policy: migrations are scripted through `migrate_to`.
-            min_tracked_pairs: usize::MAX,
-            ..RebalanceConfig::default()
-        },
-    )
+    ShardedPairRegistry::new(POOL, WINDOW, Timestamp::DAY, MIN_SUPPORT, CAP)
 }
 
 /// Round-trips the registry through its standalone snapshot payload.
 fn roundtrip(registry: ShardedPairRegistry) -> ShardedPairRegistry {
     let bytes = registry.snapshot_bytes();
-    ShardedPairRegistry::from_snapshot_bytes(
-        &bytes,
-        POOL,
-        WINDOW,
-        Timestamp::DAY,
-        MIN_SUPPORT,
-        CAP,
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: SLOTS_PER_SHARD,
-            min_tracked_pairs: usize::MAX,
-            ..RebalanceConfig::default()
-        },
-    )
-    .expect("self-produced snapshot restores")
+    ShardedPairRegistry::from_snapshot_bytes(&bytes, POOL, WINDOW, Timestamp::DAY, MIN_SUPPORT, CAP)
+        .expect("self-produced snapshot restores")
 }
 
 proptest! {
     /// The full observable surface of the slab registry — tracked keys,
     /// correlation histories, windowed counts, rankings, eviction totals
-    /// — matches the reference model at every tick close, with scripted
-    /// migrations and snapshot round-trips injected between ticks.
+    /// — matches the reference model at every tick close, with snapshot
+    /// round-trips injected between ticks.
     #[test]
     fn slab_registry_matches_reference_model(
         obs in proptest::collection::vec((0u64..8, 0u32..16, 0u32..16), 1..300),
-        migrations in proptest::collection::vec(
-            proptest::collection::vec(0u16..POOL as u16, SLOTS),
-            0..4,
-        ),
-        migrate_at in proptest::collection::vec(0u64..8, 0..4),
         snapshot_at in proptest::collection::vec(0u64..8, 0..3),
     ) {
         let s = scorer();
         // Only even tags seed, so some observed pairs stay undiscovered —
-        // their windowed counts must still survive migration and restore.
+        // their windowed counts must still survive restore.
         let seeds: FxHashSet<TagId> = (0..40u32).filter(|a| a % 2 == 0).map(TagId).collect();
         let mut r = registry();
         let mut model = RefModel::new();
@@ -263,15 +230,8 @@ proptest! {
                 "ranking at tick {}", tick
             );
 
-            // Scripted structural events between ticks: the model has no
-            // notion of either, so both must be observably invisible.
-            for (index, &at) in migrate_at.iter().enumerate() {
-                if at == tick {
-                    if let Some(assignment) = migrations.get(index) {
-                        r.migrate_to(assignment.clone());
-                    }
-                }
-            }
+            // Scripted round-trips between ticks: the model has no notion
+            // of them, so they must be observably invisible.
             if snapshot_at.contains(&tick) {
                 r = roundtrip(r);
             }

@@ -2,12 +2,11 @@
 //! arbitrary point of an arbitrary stream and restoring into a fresh
 //! engine must preserve *every* observable surface — windowed pair counts
 //! (including observed-but-undiscovered keys), correlation histories,
-//! seed sets, the routing epoch, and the ranking — and a tail replay from
+//! seed sets, per-shard placement, and the ranking — and a tail replay from
 //! the restore point must be byte-identical to the uninterrupted run.
 
 use enblogue_core::config::EnBlogueConfig;
 use enblogue_core::engine::EnBlogueEngine;
-use enblogue_core::pairs::RebalanceConfig;
 use enblogue_types::{Document, TagId, TagPair, Tick, TickSpec, Timestamp};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -29,21 +28,7 @@ fn docs_of(obs: &[(u64, u32, u32)]) -> Vec<Document> {
         .collect()
 }
 
-fn config(shards: usize, rebalancing: bool) -> EnBlogueConfig {
-    let rebalance = if rebalancing {
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: 4,
-            target_pairs_per_shard: 4,
-            min_skew: 1.01,
-            cap_pressure: 0.5,
-            min_tracked_pairs: 1,
-            cooldown_ticks: 0,
-            min_active_shards: 1,
-        }
-    } else {
-        RebalanceConfig::disabled()
-    };
+fn config(shards: usize) -> EnBlogueConfig {
     EnBlogueConfig::builder()
         .tick_spec(TickSpec::hourly())
         .window_ticks(5)
@@ -56,7 +41,6 @@ fn config(shards: usize, rebalancing: bool) -> EnBlogueConfig {
         .min_pair_support(1)
         .shards(shards)
         .parallel_close(false)
-        .rebalance(rebalance)
         .build()
         .unwrap()
 }
@@ -74,7 +58,7 @@ type Surface = (
     Vec<u64>,
     Vec<Option<Vec<f64>>>,
     Vec<TagId>,
-    u64,
+    Vec<usize>,
     (usize, u64, u64),
 );
 
@@ -91,7 +75,7 @@ fn surface(engine: &EnBlogueEngine, observed: &[u64]) -> Surface {
         counts,
         histories,
         engine.pipeline().current_seeds(),
-        stats.routing_epoch,
+        stats.per_shard_pairs,
         (metrics.pairs_tracked, metrics.pairs_discovered, metrics.pairs_evicted),
     )
 }
@@ -112,11 +96,10 @@ proptest! {
     fn checkpoint_restore_preserves_every_surface(
         obs in proptest::collection::vec((0u64..8, 0u32..20, 0u32..20), 1..300),
         split in 0u64..8,
-        knob in 0u32..4,
+        knob in 0u32..2,
     ) {
-        let shards = if knob % 2 == 0 { 1 } else { 4 };
-        let rebalancing = knob >= 2;
-        let cfg = config(shards, rebalancing);
+        let shards = if knob == 0 { 1 } else { 4 };
+        let cfg = config(shards);
         let docs = docs_of(&obs);
         let observed = observed_keys(&obs);
         let cut = docs.partition_point(|d| cfg.tick_spec.tick_of(d.timestamp).0 <= split);
@@ -126,7 +109,7 @@ proptest! {
 
         let mut first = EnBlogueEngine::new(cfg.clone());
         let head = first.run_replay(&docs[..cut]);
-        let path = snap_path(&format!("case-{shards}-{rebalancing}"));
+        let path = snap_path(&format!("case-{shards}"));
         first.checkpoint(&path).unwrap();
         drop(first);
 
@@ -149,14 +132,13 @@ proptest! {
     #[test]
     fn restore_is_a_perfect_clone(
         obs in proptest::collection::vec((0u64..6, 0u32..16, 0u32..16), 1..200),
-        knob in 0u32..2,
     ) {
-        let cfg = config(3, knob == 1);
+        let cfg = config(3);
         let docs = docs_of(&obs);
         let observed = observed_keys(&obs);
         let mut original = EnBlogueEngine::new(cfg.clone());
         original.run_replay(&docs);
-        let path = snap_path(&format!("clone-{knob}"));
+        let path = snap_path("clone");
         original.checkpoint(&path).unwrap();
         let resumed = EnBlogueEngine::resume(cfg, &path).unwrap();
         prop_assert_eq!(surface(&resumed, &observed), surface(&original, &observed));
@@ -171,7 +153,7 @@ proptest! {
         victim in 0usize..10_000,
         flip in 1u8..=255,
     ) {
-        let cfg = config(2, false);
+        let cfg = config(2);
         let docs = docs_of(&obs);
         let mut engine = EnBlogueEngine::new(cfg.clone());
         engine.run_replay(&docs);
@@ -196,7 +178,7 @@ proptest! {
 #[test]
 fn tick_cursor_survives_even_empty_engines() {
     // Degenerate but legal: checkpoint before any document or close.
-    let cfg = config(1, false);
+    let cfg = config(1);
     let mut engine = EnBlogueEngine::new(cfg.clone());
     let path = snap_path("empty");
     let stats = engine.checkpoint(&path).unwrap();
@@ -206,7 +188,7 @@ fn tick_cursor_survives_even_empty_engines() {
     assert!(resumed.pipeline().latest_snapshot().is_none());
     // The restored empty engine behaves exactly like a fresh one.
     let docs = docs_of(&[(0, 1, 2), (1, 1, 2), (2, 3, 4)]);
-    let mut fresh = EnBlogueEngine::new(config(1, false));
+    let mut fresh = EnBlogueEngine::new(config(1));
     assert_eq!(resumed.run_replay(&docs), fresh.run_replay(&docs));
     assert_eq!(resumed.metrics().ticks_closed, Tick(2).0 + 1);
 }

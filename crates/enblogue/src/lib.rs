@@ -47,19 +47,17 @@
 //!                        │
 //!                        ▼
 //!        ShardedPairRegistry (pool of hash-shard stores)
-//!   versioned RoutingTable: key ──mix──► slot ──assignment──► store
+//!   static routing: key ──shard_of_packed(key, N)──► store
 //!   store 0 … store N−1: pair states + windowed pair counts
-//!   ingest and close fan out via enblogue_stream::exec::fanout;
-//!   a load-aware rebalancer may re-target slots at tick close
+//!   ingest and close fan out via enblogue_stream::exec::fanout
 //! ```
 //!
 //! **Which layer owns what:**
 //!
-//! * `enblogue-types` owns the shard *routing* contract: the versioned
-//!   slot → shard [`types::RoutingTable`] behind a [`types::SharedRouting`]
-//!   handle (keys hash onto the fixed slot grid with
-//!   [`types::shard_of_packed`]); every layer that partitions pair state
-//!   consults the same table, and rebalances are published as new epochs.
+//! * `enblogue-types` owns the shard *routing* contract: the pure function
+//!   [`types::shard_of_packed`] maps a pair key to its store; every layer
+//!   that partitions pair state calls it, so they agree on placement
+//!   without sharing any routing state.
 //! * `enblogue-window` owns sharded *storage*
 //!   ([`window::ShardedWindowedCounter`]): per-shard windowed pair counts,
 //!   exact because each key lives in exactly one shard.
@@ -92,8 +90,7 @@
 //!   [`serve::Subscription`]s share each publish's engine pass.
 //!
 //! Sharding (`EnBlogueConfig::shards`), shard-parallel close
-//! (`EnBlogueConfig::parallel_close`), load-aware rebalancing
-//! (`EnBlogueConfig::rebalance`) and the entire ingestion subsystem
+//! (`EnBlogueConfig::parallel_close`) and the entire ingestion subsystem
 //! (batch size, queue depth, worker count) are pure execution knobs:
 //! rankings are byte-identical for any setting (enforced by
 //! `tests/stage_parity.rs`). Batched ingestion
@@ -127,9 +124,7 @@ pub mod prelude {
     pub use enblogue_core::ingest::ReplayIngest;
     pub use enblogue_core::notify::{PushBroker, PushSubscription, RankingUpdate};
     pub use enblogue_core::ops::{EngineOp, EntityTagOp};
-    pub use enblogue_core::pairs::{
-        RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry,
-    };
+    pub use enblogue_core::pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
     pub use enblogue_core::personalization::{
         jaccard_at_k, personalize, personalize_shared, resolve_ranked_names, PersonalizedRanking,
         UserProfile,

@@ -423,7 +423,7 @@ mod tests {
     impl RecordingSink {
         fn new(shards: usize) -> Self {
             RecordingSink {
-                spec: PartitionSpec::with_static_shards(TickSpec::hourly(), true, shards),
+                spec: PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards },
                 ops: Vec::new(),
                 observations: 0,
             }
@@ -432,12 +432,12 @@ mod tests {
 
     impl IngestSink for RecordingSink {
         fn partition_spec(&self) -> PartitionSpec {
-            self.spec.clone()
+            self.spec
         }
 
         fn apply_batch(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
             assert_eq!(partitioned.docs, docs.len());
-            assert_eq!(partitioned.shard_count(), self.spec.shards());
+            assert_eq!(partitioned.shard_count(), self.spec.shards);
             self.observations += partitioned.observations;
             let ids: Vec<String> = docs.iter().map(|d| d.id.to_string()).collect();
             self.ops.push(format!("apply[{}]", ids.join(",")));

@@ -3,7 +3,7 @@
 //! stream.
 
 use enblogue_ingest::partition::{annotations_of, partition_docs, PartitionSpec};
-use enblogue_types::{Document, TagId, TagPair, Tick, TickSpec, Timestamp};
+use enblogue_types::{shard_of_packed, Document, TagId, TagPair, Tick, TickSpec, Timestamp};
 use proptest::prelude::*;
 
 /// Builds a timestamp-sorted workload from generated raw material.
@@ -39,8 +39,8 @@ fn sequential_observations(docs: &[Document], spec: &PartitionSpec) -> Vec<(Tick
 }
 
 proptest! {
-    /// Every observation lands in exactly the bucket its shard routing
-    /// names — no leaks across shards.
+    /// Every observation lands in bucket `shard_of_packed(key, shards)` —
+    /// the registry's static routing — and nowhere else.
     #[test]
     fn observations_land_on_exactly_one_shard(
         raw in proptest::collection::vec(
@@ -53,14 +53,12 @@ proptest! {
     ) {
         let docs = build_docs(&raw);
         let spec =
-            PartitionSpec::with_static_shards(TickSpec::hourly(), use_entities == 1, shards);
-        let table = spec.routing.snapshot();
+            PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: use_entities == 1, shards };
         let batch = partition_docs(&docs, &spec);
         prop_assert_eq!(batch.shard_count(), shards);
-        prop_assert_eq!(batch.routing_epoch, table.epoch());
         for (shard, bucket) in batch.buckets().iter().enumerate() {
             for &(_, packed) in bucket {
-                prop_assert_eq!(table.route(packed), shard);
+                prop_assert_eq!(shard_of_packed(packed, shards), shard);
             }
         }
     }
@@ -78,8 +76,7 @@ proptest! {
         shards in 1usize..9,
     ) {
         let docs = build_docs(&raw);
-        let spec = PartitionSpec::with_static_shards(TickSpec::hourly(), true, shards);
-        let table = spec.routing.snapshot();
+        let spec = PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards };
         let batch = partition_docs(&docs, &spec);
         let reference = sequential_observations(&docs, &spec);
         prop_assert_eq!(batch.observations, reference.len());
@@ -99,7 +96,7 @@ proptest! {
             let expected: Vec<(Tick, u64)> = reference
                 .iter()
                 .copied()
-                .filter(|&(_, packed)| table.route(packed) == shard)
+                .filter(|&(_, packed)| shard_of_packed(packed, shards) == shard)
                 .collect();
             prop_assert_eq!(bucket.clone(), expected);
         }

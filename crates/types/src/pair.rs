@@ -86,14 +86,10 @@ impl TagPair {
         TagPair { lo: TagId((key >> 32) as u32), hi: TagId(key as u32) }
     }
 
-    /// The *static* hash assignment of this pair over `shards` buckets —
-    /// convenience for [`shard_of_packed`] on the packed key.
-    ///
-    /// This is plain hashing, **not** registry routing: the pair registry
-    /// routes through its versioned [`crate::RoutingTable`] (keys hash
-    /// onto a slot grid whose slots a rebalancer may re-target), so after
-    /// any rebalance this method does not name the store that owns the
-    /// pair's state. Consult the registry's routing handle for that.
+    /// The shard store that owns this pair's state in a pool of `shards`
+    /// stores — [`shard_of_packed`] on the packed key, which *is* the pair
+    /// registry's routing (routing is static: a key never changes
+    /// stores).
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
         shard_of_packed(self.packed(), shards)
@@ -103,9 +99,11 @@ impl TagPair {
 /// Maps a [packed](TagPair::packed) pair key to one of `shards` shards.
 ///
 /// This is the single routing function shared by every layer that
-/// partitions pair state (windowed pair counters, the sharded registry,
-/// shard-parallel tick close): all of them **must** agree on the
-/// assignment, so it lives here in the vocabulary crate.
+/// partitions pair state (the ingest partitioner, windowed pair counters,
+/// the sharded registry, shard-parallel tick close, snapshot restore): all
+/// of them **must** agree on the assignment, so it lives here in the
+/// vocabulary crate. Routing is a pure function of the key and the pool
+/// size — there is no routing state to version, share or checkpoint.
 ///
 /// The key is finalised with a SplitMix64-style mix before the modulo:
 /// packed keys share low bits whenever pairs share their `hi` member, and

@@ -140,7 +140,7 @@ impl<K: Eq + Hash + Copy> WindowedCounter<K> {
         }
         let slot = match self.free.pop() {
             // A freed lane is all-zero by construction (its total reached
-            // zero, or it was extracted).
+            // zero).
             Some(slot) => {
                 self.keys[slot as usize] = key;
                 slot as usize
@@ -259,57 +259,6 @@ impl<K: Eq + Hash + Copy> WindowedCounter<K> {
         self.totals.iter().sum()
     }
 
-    /// Removes `key` from the counter, returning its per-tick window
-    /// series — the donor half of a shard migration.
-    ///
-    /// Returns `None` if the key has no live counts (nothing to move).
-    pub fn extract_key(&mut self, key: K) -> Option<KeyWindow> {
-        let slot = self.index.remove(&key)? as usize;
-        let window = self.window_ticks;
-        let mut counts = Vec::with_capacity(self.held);
-        for back_offset in (0..self.held).rev() {
-            let col = self.column(back_offset);
-            counts.push(self.lanes[slot * window + col]);
-            self.lanes[slot * window + col] = 0;
-        }
-        debug_assert_eq!(counts.iter().sum::<u64>(), self.totals[slot], "totals out of sync");
-        self.totals[slot] = 0;
-        self.free.push(slot as u32);
-        Some(KeyWindow {
-            newest_tick: self.newest_tick.expect("live counts imply an open window"),
-            counts,
-        })
-    }
-
-    /// Releases excess capacity and compacts the lane arena onto the live
-    /// keys. Call after bulk [`WindowedCounter::extract_key`] removals (a
-    /// shard migration): expiry walks every lane *slot*, so a donor that
-    /// keeps the lanes of its departed keys pays for them on every
-    /// subsequent tick.
-    pub fn shrink_to_fit(&mut self) {
-        let window = self.window_ticks;
-        let live = self.index.len();
-        let mut keys = Vec::with_capacity(live);
-        let mut totals = Vec::with_capacity(live);
-        let mut lanes = Vec::with_capacity(live * window);
-        for slot in 0..self.totals.len() {
-            if self.totals[slot] == 0 {
-                continue;
-            }
-            let new_slot = keys.len() as u32;
-            keys.push(self.keys[slot]);
-            totals.push(self.totals[slot]);
-            lanes.extend_from_slice(&self.lanes[slot * window..(slot + 1) * window]);
-            *self.index.get_mut(&self.keys[slot]).expect("live slot is indexed") = new_slot;
-        }
-        self.keys = keys;
-        self.totals = totals;
-        self.lanes = lanes;
-        self.free.clear();
-        self.free.shrink_to_fit();
-        self.index.shrink_to_fit();
-    }
-
     /// Exports the per-tick count entries, oldest → newest — the counter's
     /// full dehydrated state for snapshot/restore (see
     /// [`WindowedCounter::from_per_tick_counts`]). Inner vectors are in
@@ -365,56 +314,6 @@ impl<K: Eq + Hash + Copy> WindowedCounter<K> {
         }
         counter
     }
-
-    /// Merges an extracted window series into this counter — the receiver
-    /// half of a shard migration. Counts land in the tick slots they came
-    /// from (series entries older than this counter's window expire).
-    ///
-    /// Adding is exact: if `key` already has counts here, the series adds
-    /// on top, so `extract_key` → `merge_key` between two counters of the
-    /// same window length preserves every windowed count bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if the series is longer than the window (it cannot have come
-    /// from a counter of the same length).
-    pub fn merge_key(&mut self, key: K, series: &KeyWindow) {
-        assert!(series.counts.len() <= self.window_ticks, "series exceeds the window");
-        // Align: the receiver must cover at least the series' newest tick.
-        self.advance_to(series.newest_tick);
-        let newest = self.newest_tick.expect("advance_to opened the window");
-        // The receiver may already be *ahead* of the donor (the donor saw
-        // no events recently); entries then sit deeper in the past and may
-        // have expired entirely.
-        let lag = newest.since(series.newest_tick) as usize;
-        let mut merged_total = 0u64;
-        for (i, &count) in series.counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let back_offset = (series.counts.len() - 1 - i) + lag;
-            if back_offset >= self.window_ticks {
-                continue; // expired relative to the receiver's window
-            }
-            // Cover ticks the receiver never saw (their columns are zero).
-            self.held = self.held.max(back_offset + 1);
-            let slot = self.ensure_slot(key);
-            let at = slot * self.window_ticks + self.column(back_offset);
-            self.lanes[at] += count;
-            self.totals[slot] += count;
-            merged_total += count;
-        }
-        debug_assert!(merged_total == 0 || self.count(key) >= merged_total);
-    }
-}
-
-/// A key's windowed per-tick counts, detached from its counter (see
-/// [`WindowedCounter::extract_key`] / [`WindowedCounter::merge_key`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyWindow {
-    /// The tick the last entry of `counts` belongs to.
-    pub newest_tick: Tick,
-    /// Per-tick counts, oldest → newest (length ≤ the donor's window).
-    pub counts: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -551,73 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_then_merge_preserves_counts_and_expiry() {
-        let mut donor: WindowedCounter<u32> = WindowedCounter::new(4);
-        donor.add(Tick(0), 7, 2);
-        donor.add(Tick(1), 7, 3);
-        donor.add(Tick(3), 7, 5);
-        let mut receiver: WindowedCounter<u32> = WindowedCounter::new(4);
-        receiver.advance_to(Tick(3));
-        receiver.add(Tick(3), 7, 1); // pre-existing counts add up exactly
-
-        let series = donor.extract_key(7).expect("live key");
-        assert_eq!(series.newest_tick, Tick(3));
-        assert_eq!(donor.count(7), 0, "donor forgets the key");
-        assert_eq!(donor.total_events(), 0);
-
-        receiver.merge_key(7, &series);
-        assert_eq!(receiver.count(7), 11);
-        // Expiry must behave as if the counts had always lived here.
-        receiver.advance_to(Tick(4)); // window is now ticks 1..=4
-        assert_eq!(receiver.count(7), 9, "tick 0 expired");
-        receiver.advance_to(Tick(6)); // window is now ticks 3..=6
-        assert_eq!(receiver.count(7), 6, "only the merged tick-3 counts remain");
-        receiver.advance_to(Tick(7));
-        assert_eq!(receiver.count(7), 0);
-    }
-
-    #[test]
-    fn merge_into_a_counter_that_ran_ahead_expires_old_ticks() {
-        let mut donor: WindowedCounter<u32> = WindowedCounter::new(3);
-        donor.add(Tick(0), 9, 4);
-        donor.add(Tick(2), 9, 1);
-        let series = donor.extract_key(9).unwrap();
-        let mut receiver: WindowedCounter<u32> = WindowedCounter::new(3);
-        receiver.advance_to(Tick(3)); // one tick ahead of the donor
-        receiver.merge_key(9, &series);
-        assert_eq!(receiver.count(9), 1, "tick-0 counts are already out of window");
-        receiver.advance_to(Tick(5));
-        assert_eq!(receiver.count(9), 0);
-    }
-
-    #[test]
-    fn merge_materialises_older_ticks_the_receiver_never_saw() {
-        let mut donor: WindowedCounter<u32> = WindowedCounter::new(4);
-        donor.add(Tick(0), 3, 2);
-        donor.add(Tick(2), 3, 1);
-        let series = donor.extract_key(3).unwrap();
-        // A receiver whose window only just opened at the donor's newest
-        // tick: the merge must back-fill the older tick slots.
-        let mut receiver: WindowedCounter<u32> = WindowedCounter::new(4);
-        receiver.advance_to(Tick(2));
-        receiver.merge_key(3, &series);
-        assert_eq!(receiver.count(3), 3);
-        assert_eq!(receiver.per_tick_counts().len(), 3, "ticks 0..=2 covered");
-        receiver.advance_to(Tick(3)); // window now 0..=3: nothing expires yet
-        assert_eq!(receiver.count(3), 3);
-        receiver.advance_to(Tick(4)); // tick 0 expires
-        assert_eq!(receiver.count(3), 1);
-    }
-
-    #[test]
-    fn extract_missing_key_is_none() {
-        let mut c: WindowedCounter<u32> = WindowedCounter::new(2);
-        c.increment(Tick(0), 1);
-        assert!(c.extract_key(2).is_none());
-        assert_eq!(c.count(1), 1, "other keys untouched");
-    }
-
-    #[test]
     fn per_tick_round_trip_preserves_everything() {
         let mut c: WindowedCounter<u32> = WindowedCounter::new(4);
         c.add(Tick(1), 1, 2);
@@ -640,24 +472,6 @@ mod tests {
             assert_eq!(restored.count(1), original.count(1), "key 1 at tick {tick}");
             assert_eq!(restored.count(2), original.count(2), "key 2 at tick {tick}");
         }
-    }
-
-    #[test]
-    fn shrink_to_fit_compacts_and_keeps_counts() {
-        let mut c: WindowedCounter<u32> = WindowedCounter::new(3);
-        for key in 0..20u32 {
-            c.add(Tick(0), key, key as u64 + 1);
-        }
-        for key in 0..15u32 {
-            c.extract_key(key);
-        }
-        c.shrink_to_fit();
-        assert_eq!(c.distinct_keys(), 5);
-        for key in 15..20u32 {
-            assert_eq!(c.count(key), key as u64 + 1);
-        }
-        c.advance_to(Tick(3));
-        assert_eq!(c.total_events(), 0, "expiry still works on the compacted arena");
     }
 
     #[test]

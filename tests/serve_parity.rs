@@ -1,7 +1,7 @@
 //! The serving-tier parity contract: a published `TickView` answers the
 //! unified `QueryView` API **byte-identically** to the engine's own
-//! accessors for the same closed tick — across shard pools, close
-//! modes, and rebalancing policies — and concurrent readers racing live
+//! accessors for the same closed tick — across shard pools and close
+//! modes — and concurrent readers racing live
 //! ingest never observe a torn or stale-epoch view.
 
 use enblogue::prelude::*;
@@ -22,32 +22,17 @@ fn archive() -> NytArchive {
     })
 }
 
-fn config(shards: usize, parallel: bool, rebalance: Option<RebalanceConfig>) -> EnBlogueConfig {
-    let mut builder = EnBlogueConfig::builder()
+fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
+    EnBlogueConfig::builder()
         .tick_spec(TickSpec::daily())
         .window_ticks(7)
         .seed_count(25)
         .min_seed_count(3)
         .top_k(10)
         .shards(shards)
-        .parallel_close(parallel);
-    if let Some(rebalance) = rebalance {
-        builder = builder.rebalance(rebalance);
-    }
-    builder.build().unwrap()
-}
-
-fn aggressive_rebalance() -> RebalanceConfig {
-    RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    }
+        .parallel_close(parallel)
+        .build()
+        .unwrap()
 }
 
 /// Drives the replay tick by tick (gap ticks included, like
@@ -105,13 +90,13 @@ fn full_detail_views_match_engine_accessors_across_the_grid() {
         UserProfile::new("keyword").try_with_weighted_keyword("event", 2.0).unwrap(),
     ];
     let grid = [
-        ("1-serial-static", 1usize, false, None),
-        ("4-parallel-static", 4, true, None),
-        ("4-serial-rebalancing", 4, false, Some(aggressive_rebalance())),
-        ("16-parallel-rebalancing", 16, true, Some(aggressive_rebalance())),
+        ("1-serial", 1usize, false),
+        ("4-parallel", 4, true),
+        ("4-serial", 4, false),
+        ("16-parallel", 16, true),
     ];
-    for (name, shards, parallel, rebalance) in grid {
-        let mut engine = EnBlogueEngine::new(config(shards, parallel, rebalance));
+    for (name, shards, parallel) in grid {
+        let mut engine = EnBlogueEngine::new(config(shards, parallel));
         let handle = QueryHandle::attach(
             &mut engine,
             archive.interner.clone(),
@@ -183,19 +168,13 @@ fn full_detail_views_match_engine_accessors_across_the_grid() {
             }
         });
         assert!(closes > 0, "{name}: the replay must close ticks");
-        if rebalance.is_some() {
-            assert!(
-                engine.pipeline().metrics().rebalances > 0,
-                "{name}: the aggressive policy must actually migrate"
-            );
-        }
     }
 }
 
 #[test]
 fn ranked_detail_covers_the_ranking_and_answers_identically() {
     let archive = archive();
-    let mut engine = EnBlogueEngine::new(config(4, true, None));
+    let mut engine = EnBlogueEngine::new(config(4, true));
     let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
     replay_with(&mut engine, &archive.docs, |engine, _tick| {
         let view = handle.view().expect("published after first close");
@@ -216,7 +195,7 @@ fn ranked_detail_covers_the_ranking_and_answers_identically() {
 #[test]
 fn racing_readers_never_observe_torn_views() {
     let archive = archive();
-    let mut engine = EnBlogueEngine::new(config(4, true, None));
+    let mut engine = EnBlogueEngine::new(config(4, true));
     let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -278,7 +257,7 @@ fn racing_readers_never_observe_torn_views() {
 #[test]
 fn subscriptions_share_the_publish_pass_and_deliver_on_change_only() {
     let archive = archive();
-    let mut engine = EnBlogueEngine::new(config(1, false, None));
+    let mut engine = EnBlogueEngine::new(config(1, false));
     let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
 
     let mut subscriptions: Vec<Subscription> = (0..8)
@@ -320,7 +299,7 @@ fn subscriptions_share_the_publish_pass_and_deliver_on_change_only() {
 #[test]
 fn serve_telemetry_counts_publishes_and_queries() {
     let archive = archive();
-    let mut engine = EnBlogueEngine::new(config(1, false, None));
+    let mut engine = EnBlogueEngine::new(config(1, false));
     let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
     let closes = engine.run_replay(&archive.docs).len() as u64;
     let _ = handle.view();

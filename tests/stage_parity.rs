@@ -120,70 +120,14 @@ fn ingestion_mode_is_invisible_in_rankings() {
     }
 
     // Shard-parallel application on top of multi-worker partitioning.
-    let mut engine = EnBlogueEngine::new(config(16, true));
-    let ingest = IngestConfig { batch_size: 128, queue_depth: 8, workers: 4 };
-    let (snapshots, _) = engine.run_replay_ingest(&archive.docs, &ingest);
-    assert_eq!(snapshots, baseline, "16 shards, parallel close, 4 ingest workers");
-}
-
-#[test]
-fn rebalancing_is_invisible_in_rankings() {
-    // The rebalancing contract: dynamic shard count + hot-slot migration
-    // are pure execution knobs. One replay, rankings byte-identical with
-    // rebalancing off (the static uniform table) and with an aggressive
-    // policy that rebalances every close — across shard pools, close
-    // modes, and ingest worker grids.
-    let archive = archive();
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
-    assert!(!baseline.is_empty());
-    assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
-
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let rebalanced = |shards: usize, parallel: bool| {
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(shards)
-            .parallel_close(parallel)
-            .rebalance(aggressive)
-            .build()
-            .unwrap()
-    };
-
-    for (shards, parallel) in [(4usize, false), (4, true), (16, false), (16, true)] {
-        let mut engine = EnBlogueEngine::new(rebalanced(shards, parallel));
-        let snapshots = engine.run_replay(&archive.docs);
-        assert_eq!(snapshots, baseline, "rebalancing on, shards={shards} parallel={parallel}");
-        let metrics = engine.pipeline().metrics();
-        assert!(
-            metrics.rebalances > 0,
-            "the aggressive policy must actually migrate (shards={shards})"
+    for (shards, batch_size, workers) in [(16usize, 128usize, 4usize), (8, 64, 2), (8, 256, 4)] {
+        let mut engine = EnBlogueEngine::new(config(shards, true));
+        let ingest = IngestConfig { batch_size, queue_depth: 8, workers };
+        let (snapshots, _) = engine.run_replay_ingest(&archive.docs, &ingest);
+        assert_eq!(
+            snapshots, baseline,
+            "{shards} shards, parallel close, batch={batch_size} workers={workers}"
         );
-        assert!(metrics.routing_epoch > 0);
-    }
-
-    // Rebalancing under the parallel ingestion pipeline: partition
-    // workers snapshot the routing table per batch, stale batches are
-    // re-partitioned — rankings still byte-identical.
-    for (batch_size, workers) in [(64usize, 2usize), (256, 4)] {
-        let mut engine = EnBlogueEngine::new(rebalanced(8, true));
-        let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
-        let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
-        assert_eq!(snapshots, baseline, "ingest batch={batch_size} workers={workers}");
-        assert_eq!(stats.docs, archive.docs.len() as u64);
-        assert!(engine.pipeline().metrics().rebalances > 0);
     }
 }
 
@@ -192,8 +136,8 @@ fn scoring_mode_is_invisible_in_rankings() {
     // The batch-kernel contract: the lane-tiled batched close (the
     // default) and the scalar reference walk are the same computation
     // down to the bit pattern, so on one replay their snapshot sequences
-    // are byte-identical — across shard pools, close modes, an
-    // aggressive rebalancing policy, and the parallel-ingestion grid.
+    // are byte-identical — across shard pools, close modes, and the
+    // parallel-ingestion grid.
     let archive = archive();
 
     let with_scoring = |shards: usize, parallel: bool, scoring: ScoringMode| {
@@ -218,7 +162,7 @@ fn scoring_mode_is_invisible_in_rankings() {
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
     for scoring in [ScoringMode::Scalar, ScoringMode::Batched] {
-        for (shards, parallel) in [(1usize, false), (4, false), (4, true), (16, true)] {
+        for (shards, parallel) in [(1usize, false), (4, false), (4, true), (8, true), (16, true)] {
             let snapshots =
                 engine_snapshots(with_scoring(shards, parallel, scoring), &archive.docs);
             assert_eq!(
@@ -227,35 +171,6 @@ fn scoring_mode_is_invisible_in_rankings() {
             );
         }
     }
-
-    // Batched scoring composed with hot-slot rebalancing: tiles regroup
-    // as pairs migrate between stores, rankings untouched.
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let mut engine = EnBlogueEngine::new(
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(8)
-            .parallel_close(true)
-            .scoring_mode(ScoringMode::Batched)
-            .rebalance(aggressive)
-            .build()
-            .unwrap(),
-    );
-    assert_eq!(engine.run_replay(&archive.docs), baseline, "batched + aggressive rebalancing");
-    assert!(engine.pipeline().metrics().rebalances > 0, "the policy must actually migrate");
 
     // Batched scoring under the parallel ingestion pipeline.
     for (batch_size, workers) in [(64usize, 2usize), (256, 4)] {
@@ -273,8 +188,8 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
     // replay, (a) periodic checkpointing changes no ranking, and (b)
     // checkpoint at a tick + restore into a fresh engine + replay of the
     // tail produces byte-identical snapshot sequences to the
-    // uninterrupted run — across shard pools, close modes, rebalance
-    // policies, and the parallel-ingestion worker grid.
+    // uninterrupted run — across shard pools, close modes, and the
+    // parallel-ingestion worker grid.
     use enblogue::core::snapshot::checkpoint_file_name;
 
     let archive = archive();
@@ -283,7 +198,7 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
     // Checkpoints land at ticks 9/19/29/39 (every 10th close); resume
-    // from tick 29 so the tail spans real work, rebalances included.
+    // from tick 29 so the tail spans real work.
     let split = Tick(29);
     let split_at = baseline.iter().position(|s| s.tick == split).expect("tick 29 closes") + 1;
     let tail_from = archive
@@ -292,47 +207,31 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
         .position(|d| TickSpec::daily().tick_of(d.timestamp) > split)
         .expect("documents after the split");
 
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let build = |shards: usize, parallel: bool, rebalance: Option<RebalanceConfig>| {
-        let mut builder = EnBlogueConfig::builder()
+    let build = |shards: usize, parallel: bool| {
+        EnBlogueConfig::builder()
             .tick_spec(TickSpec::daily())
             .window_ticks(7)
             .seed_count(25)
             .min_seed_count(3)
             .top_k(10)
             .shards(shards)
-            .parallel_close(parallel);
-        if let Some(rebalance) = rebalance {
-            builder = builder.rebalance(rebalance);
-        }
-        builder
+            .parallel_close(parallel)
     };
 
     let grid = [
-        ("1-serial-static", 1usize, false, None),
-        ("4-parallel-rebalancing", 4, true, Some(aggressive)),
-        ("16-serial-rebalancing", 16, false, Some(aggressive)),
-        ("16-parallel-static", 16, true, None),
+        ("1-serial", 1usize, false),
+        ("4-parallel", 4, true),
+        ("16-serial", 16, false),
+        ("16-parallel", 16, true),
     ];
-    for (name, shards, parallel, rebalance) in grid {
+    for (name, shards, parallel) in grid {
         let dir =
             std::env::temp_dir().join(format!("enblogue-parity-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // (a) The checkpointing run itself: rankings untouched.
-        let checkpointing = build(shards, parallel, rebalance)
-            .snapshot_every(10, dir.to_str().unwrap())
-            .build()
-            .unwrap();
+        let checkpointing =
+            build(shards, parallel).snapshot_every(10, dir.to_str().unwrap()).build().unwrap();
         let mut engine = EnBlogueEngine::new(checkpointing);
         assert_eq!(engine.run_replay(&archive.docs), baseline, "{name}: checkpointing run");
         assert!(engine.metrics().snapshots_taken >= 4, "{name}: checkpoints written");
@@ -341,17 +240,11 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
         // (b) Restore from the mid-stream checkpoint and replay the tail.
         // The resume config omits the snapshot section entirely — only
         // the knobs that shape state are fingerprinted.
-        let resume_config = build(shards, parallel, rebalance).build().unwrap();
+        let resume_config = build(shards, parallel).build().unwrap();
         let file = dir.join(checkpoint_file_name(split));
         let mut resumed = EnBlogueEngine::resume(resume_config.clone(), &file).unwrap();
         assert_eq!(resumed.metrics().restores, 1, "{name}");
         assert_eq!(resumed.metrics().ticks_closed, split_at as u64, "{name}: cursor restored");
-        if rebalance.is_some() {
-            assert!(
-                resumed.metrics().routing_epoch > 0,
-                "{name}: the routing epoch must survive the restore"
-            );
-        }
         let tail = resumed.run_replay(&archive.docs[tail_from..]);
         assert_eq!(tail, baseline[split_at..], "{name}: tail replay after restore");
 
