@@ -6,6 +6,9 @@
 //! the redirect-resolution rate.
 //!
 //! Run: `cargo run --release -p enblogue-bench --bin perf_entity`
+//! Smoke mode (CI): append `-- --test` for a small sweep (1k and 5k
+//! entities, 300 docs each) that fails unless every planted mention is
+//! recalled, the value the full sweep reports at every size.
 
 use enblogue::datagen::entities::EntityUniverse;
 use enblogue::prelude::*;
@@ -43,13 +46,22 @@ fn corpus(
 }
 
 fn main() {
-    println!("P3 — entity tagging vs dictionary size (200-word docs, 1 planted mention each)\n");
+    let smoke = std::env::args().any(|a| a == "--test" || a == "--smoke");
+    let (sizes, n_docs): (&[usize], usize) = if smoke {
+        (&[1_000, 5_000], 300)
+    } else {
+        (&[1_000, 5_000, 20_000, 50_000, 100_000], 2_000)
+    };
+    println!(
+        "P3 — entity tagging vs dictionary size (200-word docs, 1 planted mention each){}\n",
+        if smoke { " [smoke]" } else { "" }
+    );
     let table = Table::new(&[10, 12, 12, 12, 12, 12]);
     table.header(&["entities", "phrases", "docs/s", "tokens/s", "recall", "mem note"]);
-    for n_entities in [1_000usize, 5_000, 20_000, 50_000, 100_000] {
+    for &n_entities in sizes {
         let universe = EntityUniverse::generate(n_entities, 0xD1C7);
         let tagger = EntityTagger::new(Arc::clone(&universe.gazetteer));
-        let docs = corpus(&universe, 2_000, 200, 7);
+        let docs = corpus(&universe, n_docs, 200, 7);
         let (hits, secs) = timed(|| {
             let mut hits = 0usize;
             for (text, planted) in &docs {
@@ -68,8 +80,18 @@ fn main() {
             &f2(hits as f64 / docs.len() as f64),
             "O(phrases)",
         ]);
+        if smoke {
+            assert_eq!(
+                hits,
+                docs.len(),
+                "planted-mention recall fell below 1.0 at {n_entities} entities"
+            );
+        }
     }
-    println!("\nLookup cost is hash-based and size-independent; throughput stays flat while");
-    println!("the dictionary grows 100x. Recall < 1.0 only when filler n-grams shadow a");
-    println!("planted alias (greedy longest match), which mirrors real dictionary taggers.");
+    println!("\nEach token costs one vocabulary probe, and only a token that starts a");
+    println!("dictionary phrase opens window probes (first-token span pruning). Cost");
+    println!("therefore follows how many dictionary tokens the text holds, not only the");
+    println!("number of hash lookups: filler that occurs in no title is nearly free.");
+    println!("Recall < 1.0 only when filler n-grams shadow a planted alias (greedy");
+    println!("longest match), which mirrors real dictionary taggers.");
 }

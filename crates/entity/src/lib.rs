@@ -8,14 +8,16 @@
 //! a second filter consisting of lookups in an ontology (e.g., YAGO), which
 //! allows us to focus on particular entity types."
 //!
-//! * [`mod@tokenize`] — text → normalised term sequence,
+//! * [`mod@tokenize`] — text → normalised term sequence; one streaming
+//!   tokeniser shared by documents and dictionary keys,
 //! * [`gazetteer`] — the title dictionary with redirect canonicalisation
 //!   (the Wikipedia substitute; populated synthetically by
-//!   `enblogue-datagen`),
+//!   `enblogue-datagen`), keyed by packed token-id phrases,
 //! * [`ontology`] — a typed DAG with transitive subtype filtering (the
 //!   YAGO substitute),
 //! * [`tagger`] — the sliding-window longest-match tagger combining all
-//!   three.
+//!   three; it scans token-id windows and returns the same mentions as a
+//!   plain phrase-string window scan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,10 +4,22 @@
 //! successive terms, and check whether substrings of these match the title
 //! of a Wikipedia article", with redirect canonicalisation and an optional
 //! ontology type filter.
+//!
+//! The window slides over token *ids*, not strings: a document is
+//! tokenised once, each token is mapped to its [`Gazetteer`] vocabulary id
+//! (0 when it occurs in no title or alias), and every window is one packed
+//! integer key. Windows are pruned by the longest phrase that starts with
+//! their first token and never span an id-0 token, so most positions of a
+//! text cost no dictionary probe at all.
+//!
+//! The mentions are exactly those of the plain string-window scan (join
+//! the ≤ 4 tokens with spaces, probe a phrase-string map): same entity,
+//! canonical name, token span and order, including the type-filter
+//! fallback to a shorter match and titles winning over redirects.
 
 use crate::gazetteer::{EntityId, Gazetteer};
 use crate::ontology::{Ontology, TypeId};
-use crate::tokenize::tokenize;
+use crate::tokenize::for_each_token;
 use std::sync::Arc;
 
 /// One recognised entity occurrence.
@@ -26,10 +38,11 @@ pub struct Mention {
 /// Sliding-window, longest-match entity tagger.
 ///
 /// At each token position the tagger probes the dictionary with the
-/// longest window first (up to min(4, dictionary max)); on a hit it emits
-/// the mention and continues *after* it (mentions never overlap), matching
-/// the greedy behaviour of dictionary annotators. An optional ontology
-/// filter restricts output "to focus on particular entity types".
+/// longest window first (up to the longest phrase starting with the token
+/// there, at most 4); on a hit it emits the mention and continues *after*
+/// it (mentions never overlap), matching the greedy behaviour of
+/// dictionary annotators. An optional ontology filter restricts output "to
+/// focus on particular entity types".
 #[derive(Debug, Clone)]
 pub struct EntityTagger {
     gazetteer: Arc<Gazetteer>,
@@ -78,38 +91,49 @@ impl EntityTagger {
     }
 
     /// Tags raw text, returning non-overlapping mentions left to right.
+    ///
+    /// The text is tokenised once; each token is mapped to its dictionary
+    /// id as it streams out of the tokeniser, and one scan over the ids
+    /// finds the mentions.
     pub fn tag_text(&self, text: &str) -> Vec<Mention> {
-        let tokens = tokenize(text);
-        self.tag_tokens(&tokens.iter().map(|t| t.text.as_str()).collect::<Vec<_>>())
+        // A token and its separator take at least two bytes.
+        let mut ids = Vec::with_capacity(text.len() / 2 + 1);
+        for_each_token(text, &mut String::new(), |token, _, _| {
+            ids.push(self.gazetteer.token_id(token));
+        });
+        self.tag_ids(&ids)
     }
 
     /// Tags an already-tokenised term sequence (terms must be normalised
     /// lowercase, as produced by [`crate::tokenize::tokenize`]).
     pub fn tag_tokens(&self, tokens: &[&str]) -> Vec<Mention> {
+        let ids: Vec<u32> = tokens.iter().map(|token| self.gazetteer.token_id(token)).collect();
+        self.tag_ids(&ids)
+    }
+
+    /// Tags a sequence of token ids (from [`Gazetteer::token_id`] of this
+    /// tagger's dictionary): greedy longest match, left to right.
+    ///
+    /// At each position the windows probed are bounded by the longest
+    /// phrase that starts with the token there and by the first token
+    /// outside the vocabulary (id 0): a window containing one cannot be a
+    /// phrase, so it is never looked up.
+    pub(crate) fn tag_ids(&self, ids: &[u32]) -> Vec<Mention> {
+        let gazetteer = &*self.gazetteer;
         let mut mentions = Vec::new();
-        let max_window = Gazetteer::MAX_NGRAM.min(self.gazetteer.max_phrase_len());
-        if max_window == 0 {
-            return mentions;
-        }
-        let mut phrase = String::new();
         let mut i = 0usize;
-        while i < tokens.len() {
-            let longest = max_window.min(tokens.len() - i);
-            let mut matched = 0usize;
+        while i < ids.len() {
+            let rest = &ids[i..];
+            let longest = gazetteer.span_from(rest[0]).min(rest.len());
+            let longest = rest[..longest].iter().position(|&id| id == 0).unwrap_or(longest);
+            let mut step = 1;
             for window in (1..=longest).rev() {
-                phrase.clear();
-                for (j, token) in tokens[i..i + window].iter().enumerate() {
-                    if j > 0 {
-                        phrase.push(' ');
-                    }
-                    phrase.push_str(token);
-                }
-                if let Some(entity) = self.gazetteer.lookup_normalized(&phrase) {
+                if let Some(entity) = gazetteer.lookup_ids(&rest[..window]) {
                     if self.admits(entity) {
                         let name =
-                            self.gazetteer.canonical_name(entity).expect("id from this gazetteer");
+                            gazetteer.canonical_name(entity).expect("id from this gazetteer");
                         mentions.push(Mention { entity, name, token_start: i, token_len: window });
-                        matched = window;
+                        step = window;
                         break;
                     }
                     // A filtered-out entity does not block shorter matches
@@ -117,7 +141,7 @@ impl EntityTagger {
                     // location vs "new york" typed as newspaper).
                 }
             }
-            i += if matched > 0 { matched } else { 1 };
+            i += step;
         }
         mentions
     }
@@ -257,6 +281,42 @@ mod tests {
         assert!(tagger.tag_text("nothing matches here").is_empty());
         let empty = EntityTagger::new(Arc::new(GazetteerBuilder::default().build()));
         assert!(empty.tag_text("Barack Obama").is_empty());
+    }
+
+    #[test]
+    fn later_title_word_never_starts_a_match() {
+        let mut b = GazetteerBuilder::default();
+        let nyc = b.add_title("New York City");
+        let g = Arc::new(b.build());
+        assert_ne!(g.token_id("york"), 0, "in the vocabulary");
+        assert_eq!(g.span_from(g.token_id("york")), 0, "but starts no phrase");
+        assert_eq!(g.span_from(g.token_id("new")), 3);
+        let tagger = EntityTagger::new(Arc::clone(&g));
+        assert!(tagger.tag_text("york city york").is_empty());
+        let mentions = tagger.tag_text("york new york city");
+        assert_eq!(mentions.len(), 1);
+        assert_eq!((mentions[0].entity, mentions[0].token_start), (nyc, 1));
+    }
+
+    #[test]
+    fn empty_gazetteer_tags_nothing() {
+        let g = Arc::new(GazetteerBuilder::default().build());
+        assert_eq!(g.token_id("obama"), 0);
+        let tagger = EntityTagger::new(g);
+        assert!(tagger.tag_text("Barack Obama in New York").is_empty());
+        assert!(tagger.tag_tokens(&["barack", "obama"]).is_empty());
+        assert!(tagger.tag_ids(&[0, 0, 0]).is_empty());
+    }
+
+    #[test]
+    fn unknown_token_inside_window_blocks_longer_match() {
+        let mut b = GazetteerBuilder::default();
+        b.add_title("air traffic control");
+        let air = b.add_title("air");
+        let tagger = EntityTagger::new(Arc::new(b.build()));
+        let mentions = tagger.tag_text("air zzz control");
+        assert_eq!(mentions.len(), 1);
+        assert_eq!((mentions[0].entity, mentions[0].token_len), (air, 1));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::fxhash::FxHashMap;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -62,6 +63,11 @@ impl TagKind {
     pub const ALL: [TagKind; 5] =
         [TagKind::Category, TagKind::Descriptor, TagKind::Hashtag, TagKind::Entity, TagKind::Term];
 
+    /// Position of the kind in [`Self::ALL`].
+    const fn slot(self) -> usize {
+        self as usize
+    }
+
     /// Short label used in experiment output.
     pub const fn label(self) -> &'static str {
         match self {
@@ -82,7 +88,9 @@ impl fmt::Display for TagKind {
 
 #[derive(Default)]
 struct InternerInner {
-    by_name: FxHashMap<(String, TagKind), TagId>,
+    /// Normalised name → id, one map per kind (indexed by
+    /// [`TagKind::slot`]); each key shares the `Arc` stored in `names`.
+    by_name: [FxHashMap<Arc<str>, TagId>; TagKind::ALL.len()],
     names: Vec<Arc<str>>,
     kinds: Vec<TagKind>,
 }
@@ -113,29 +121,28 @@ impl TagInterner {
     /// different namings of an entity to one unique name.
     pub fn intern(&self, name: &str, kind: TagKind) -> TagId {
         let normalized = normalize(name);
-        // Fast path: read lock only.
-        {
-            let inner = self.inner.read();
-            if let Some(&id) = inner.by_name.get(&(normalized.clone(), kind)) {
-                return id;
-            }
+        // Fast path: read lock only, no allocation for an already
+        // normalised name.
+        if let Some(&id) = self.inner.read().by_name[kind.slot()].get(&*normalized) {
+            return id;
         }
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         // Re-check: another thread may have interned between the locks.
-        if let Some(&id) = inner.by_name.get(&(normalized.clone(), kind)) {
+        if let Some(&id) = inner.by_name[kind.slot()].get(&*normalized) {
             return id;
         }
         let id = TagId(u32::try_from(inner.names.len()).expect("more than u32::MAX tags interned"));
-        inner.names.push(Arc::from(normalized.as_str()));
+        let name: Arc<str> = Arc::from(normalized);
+        inner.by_name[kind.slot()].insert(Arc::clone(&name), id);
+        inner.names.push(name);
         inner.kinds.push(kind);
-        inner.by_name.insert((normalized, kind), id);
         id
     }
 
     /// Looks up an already-interned tag without creating it.
     pub fn get(&self, name: &str, kind: TagKind) -> Option<TagId> {
-        let normalized = normalize(name);
-        self.inner.read().by_name.get(&(normalized, kind)).copied()
+        self.inner.read().by_name[kind.slot()].get(&*normalize(name)).copied()
     }
 
     /// The name of `id`, if it was handed out by this interner.
@@ -185,8 +192,19 @@ impl fmt::Debug for TagInterner {
     }
 }
 
-fn normalize(name: &str) -> String {
-    name.trim().to_lowercase()
+/// `name` trimmed and lowercased, borrowed when it already is.
+fn normalize(name: &str) -> Cow<'_, str> {
+    let trimmed = name.trim();
+    let lowercase = if trimmed.is_ascii() {
+        !trimmed.bytes().any(|b| b.is_ascii_uppercase())
+    } else {
+        trimmed.chars().all(|c| c.to_lowercase().eq([c]))
+    };
+    if lowercase {
+        Cow::Borrowed(trimmed)
+    } else {
+        Cow::Owned(trimmed.to_lowercase())
+    }
 }
 
 #[cfg(test)]
@@ -199,9 +217,21 @@ mod tests {
         let a = interner.intern("Volcano", TagKind::Descriptor);
         let b = interner.intern("volcano", TagKind::Descriptor);
         let c = interner.intern("  volcano ", TagKind::Descriptor);
+        let d = interner.intern("\tVoLcAnO\n", TagKind::Descriptor);
         assert_eq!(a, b);
         assert_eq!(a, c);
+        assert_eq!(a, d);
         assert_eq!(interner.len(), 1);
+        assert_eq!(interner.name(a).as_deref(), Some("volcano"));
+        // Non-ASCII case folding goes through the same key.
+        let e = interner.intern(" ÖSTERREICH ", TagKind::Entity);
+        let f = interner.intern("österreich", TagKind::Entity);
+        assert_eq!(e, f);
+        assert_eq!(interner.name(e).as_deref(), Some("österreich"));
+        // Ids stay dense in interning order.
+        assert_eq!((a, e), (TagId(0), TagId(1)));
+        assert_eq!(interner.get("  Volcano", TagKind::Descriptor), Some(a));
+        assert_eq!(interner.len(), 2);
     }
 
     #[test]
