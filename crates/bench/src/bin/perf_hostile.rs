@@ -7,8 +7,9 @@
 //!   number of ticks. Unprotected, documents are attributed to their
 //!   *arrival* tick and rankings drift; with `bounded_lateness` covering
 //!   the delay, the reorder buffer must reproduce the clean rankings
-//!   byte-for-byte (correct tick attribution), on both the serial
-//!   `run_replay` path and the batched `run_replay_ingest` path.
+//!   byte-for-byte (correct tick attribution) on the per-arrival
+//!   `run_replay` path, and the batched per-tick feed of the buffer's
+//!   re-sequenced output must agree.
 //! * **duplicate_flood** — one source re-emits every document twice.
 //!   The dedup window must reject every copy and reproduce the clean
 //!   rankings byte-for-byte.
@@ -32,8 +33,9 @@
 
 use enblogue::core::snapshot::latest_checkpoint;
 use enblogue::datagen::hostile::{HostileConfig, HostileWorkload};
+use enblogue::ingest::{PushOutcome, ReorderBuffer};
 use enblogue::prelude::*;
-use enblogue_bench::Table;
+use enblogue_bench::{replay_batched, Table};
 use std::path::Path;
 use std::time::Instant;
 
@@ -106,11 +108,17 @@ fn storm_row(config: &HostileConfig, max_delay: u64) -> Row {
     assert_eq!(m.docs_late_dropped, 0, "bound covers the delay: nothing may drop");
     assert_eq!(protected, baseline, "storm: reorder buffer must reproduce the clean rankings");
 
-    // The batched feeder (resequence + parallel ingestion) must agree.
-    let mut batched = EnBlogueEngine::new(cfg);
-    let ingest = IngestConfig { batch_size: 256, queue_depth: 4, workers: 2 };
-    let (snapshots, _) = batched.run_replay_ingest(&w.arrivals, &ingest);
-    assert_eq!(snapshots, baseline, "storm: batched ingest path must agree");
+    // The batched feed over the buffer's re-sequenced arrivals must agree.
+    let mut buffer = ReorderBuffer::new(cfg.tick_spec, max_delay, cfg.event_time.max_buffered_docs);
+    let mut ordered = Vec::with_capacity(w.arrivals.len());
+    for doc in &w.arrivals {
+        assert_eq!(buffer.push(doc.clone()), PushOutcome::Buffered, "nothing may drop");
+        buffer.drain_ready(&mut ordered);
+    }
+    buffer.flush(&mut ordered);
+    let mut batched = EnBlogueEngine::new(builder().build().unwrap());
+    let snapshots = replay_batched(&mut batched, &ordered);
+    assert_eq!(snapshots, baseline, "storm: batched feed of the re-sequenced arrivals must agree");
 
     let unprotected_perturbed = perturbed_ticks(&unprotected, &baseline);
     assert!(unprotected_perturbed > 0, "the storm must actually distort an unprotected run");

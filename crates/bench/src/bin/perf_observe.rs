@@ -55,7 +55,7 @@ fn engine_shaped_hub() -> Telemetry {
         registry.histogram("close.expiry.ns"),
         registry.histogram("close.rank.ns"),
         registry.histogram("snapshot.write.ns"),
-        registry.histogram("ingest.stall.ns"),
+        registry.histogram("serve.publish.ns"),
     ];
     for stage in ["seed-select", "term-window", "pair-count", "shift-score", "rank-emit"] {
         histograms.push(registry.histogram_labeled("stage.close.ns", "stage", stage));

@@ -6,8 +6,8 @@
 //! restored `repeats` times (best time kept) and the restored engine is
 //! verified to be a perfect clone. The drill then simulates the failover
 //! story: run with periodic checkpoints, kill mid-stream, resume from the
-//! newest `checkpoint-<tick>.snap`, replay the tail through the parallel
-//! ingestion pipeline, and require the recovered snapshot sequence to be
+//! newest `checkpoint-<tick>.snap`, replay the tail through the batched
+//! per-tick feed, and require the recovered snapshot sequence to be
 //! byte-identical to an uninterrupted run.
 //!
 //! Results land in `BENCH_snapshot.json` (schema in docs/BENCHMARKS.md).
@@ -18,7 +18,7 @@
 use enblogue::core::snapshot::latest_checkpoint;
 use enblogue::datagen::zipf::Zipf;
 use enblogue::prelude::*;
-use enblogue_bench::Table;
+use enblogue_bench::{replay_batched, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -122,8 +122,8 @@ fn measure(name: &'static str, w: &Workload, dir: &Path, repeats: usize) -> Row 
 }
 
 /// The failover drill: periodic checkpoints, crash mid-stream, resume
-/// from the newest checkpoint, tail-replay through the ingestion
-/// pipeline, verify byte-identical rankings. Returns the recovered tick
+/// from the newest checkpoint, tail-replay through the batched feed,
+/// verify byte-identical rankings. Returns the recovered tick
 /// count (and panics loudly on any divergence — this is the CI gate).
 fn recovery_drill(w: &Workload, dir: &Path) -> usize {
     let docs = generate(w, 0x5EED_C4A5);
@@ -146,15 +146,14 @@ fn recovery_drill(w: &Workload, dir: &Path) -> usize {
     assert!(doomed.metrics().snapshots_taken > 0, "the doomed run must have checkpointed");
     drop(doomed); // the "kill": everything in memory is gone
 
-    // Recovery: newest checkpoint + tail replay (parallel ingestion).
+    // Recovery: newest checkpoint + tail replay (batched per-tick feed).
     let file = latest_checkpoint(&crash_dir).expect("readable dir").expect("a checkpoint file");
     let mut recovered = EnBlogueEngine::resume(cfg, &file).expect("restore after crash");
     let resumed_ticks = recovered.metrics().ticks_closed as usize;
     let tail_from = docs.partition_point(|d| {
         recovered.config().tick_spec.tick_of(d.timestamp).0 < resumed_ticks as u64
     });
-    let ingest = IngestConfig { batch_size: 128, queue_depth: 4, workers: 2 };
-    let (tail, _) = recovered.run_replay_ingest(&docs[tail_from..], &ingest);
+    let tail = replay_batched(&mut recovered, &docs[tail_from..]);
     assert_eq!(
         tail.as_slice(),
         &baseline[resumed_ticks..],

@@ -101,6 +101,33 @@ pub fn baseline_snapshots(
     snapshots
 }
 
+/// Replays a timestamp-sorted document slice through the batched feed:
+/// one [`EnBlogueEngine::process_docs`] call per tick slice, closing every
+/// tick in sequence (gap ticks included) — the batched twin of
+/// [`EnBlogueEngine::run_replay`], with byte-identical snapshots. On an
+/// engine restored from a checkpoint, closing resumes after the
+/// checkpoint's last closed tick.
+pub fn replay_batched(engine: &mut EnBlogueEngine, docs: &[Document]) -> Vec<RankingSnapshot> {
+    let spec = engine.config().tick_spec;
+    let mut next = engine.pipeline().last_closed().map(Tick::next);
+    let mut snapshots = Vec::new();
+    let mut rest = docs;
+    while let Some(first) = rest.first() {
+        let tick = spec.tick_of(first.timestamp);
+        let len = rest.partition_point(|d| spec.tick_of(d.timestamp) == tick);
+        let mut gap = next.unwrap_or(tick);
+        while gap < tick {
+            snapshots.push(engine.close_tick(gap));
+            gap = gap.next();
+        }
+        engine.process_docs(&rest[..len]);
+        snapshots.push(engine.close_tick(tick));
+        next = Some(tick.next());
+        rest = &rest[len..];
+    }
+    snapshots
+}
+
 /// Times `f`, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();

@@ -11,15 +11,6 @@ pub mod channel {
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity; the message is handed back.
-        Full(T),
-        /// The receiver hung up; the message is handed back.
-        Disconnected(T),
-    }
-
     /// Error returned by [`Receiver::recv`] when all senders hung up.
     #[derive(Debug, PartialEq, Eq)]
     pub struct RecvError;
@@ -37,16 +28,6 @@ pub mod channel {
         /// Blocks until the message is enqueued or the receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             self.0.send(value).map_err(|e| SendError(e.0))
-        }
-
-        /// Enqueues without blocking, reporting a full queue instead of
-        /// waiting (used for backpressure accounting: callers count
-        /// [`TrySendError::Full`] before falling back to a blocking send).
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            self.0.try_send(value).map_err(|e| match e {
-                std::sync::mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                std::sync::mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-            })
         }
     }
 
@@ -96,15 +77,5 @@ mod tests {
         let (tx, rx) = channel::bounded::<u32>(1);
         drop(rx);
         assert_eq!(tx.send(7), Err(channel::SendError(7)));
-    }
-
-    #[test]
-    fn try_send_reports_full_and_disconnected() {
-        let (tx, rx) = channel::bounded::<u32>(1);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Err(channel::TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
-        drop(rx);
-        assert_eq!(tx.try_send(3), Err(channel::TrySendError::Disconnected(3)));
     }
 }

@@ -283,9 +283,9 @@ impl SourceGuardConfig {
 /// length, seed selection, correlation measure, predictor, half-life,
 /// `k`, support thresholds, the tracked-pair cap) change what the engine
 /// computes. *Execution* knobs (`shards`, `parallel_close`,
-/// `ingest_workers`, `scoring_mode`) only change how the work is laid
-/// out — rankings are byte-identical for any setting of them, and their
-/// defaults derive from the machine's available parallelism.
+/// `scoring_mode`) only change how the work is laid out — rankings are
+/// byte-identical for any setting of them, and the defaults of `shards`
+/// and `parallel_close` derive from the machine's available parallelism.
 ///
 /// # Example
 ///
@@ -343,11 +343,6 @@ pub struct EnBlogueConfig {
     /// with `shards > 1`; results are identical either way (workers own
     /// disjoint shards and the scorer is shared read-only).
     pub parallel_close: bool,
-    /// Partitioning worker threads for batched ingestion
-    /// (`enblogue-ingest`). Results are identical for any count; this only
-    /// sets the default pool size of ingestion pipelines driven off this
-    /// engine.
-    pub ingest_workers: usize,
     /// Periodic checkpointing of the full engine state for failover (see
     /// [`crate::snapshot`]). Off by default; also a pure execution knob —
     /// rankings are byte-identical with any policy.
@@ -396,7 +391,6 @@ impl Default for EnBlogueConfig {
             // the per-shard maps get too small to amortise fan-out.
             shards: default_parallelism().min(16),
             parallel_close: default_parallelism() > 1,
-            ingest_workers: default_parallelism(),
             snapshot: SnapshotConfig::default(),
             scoring_mode: ScoringMode::default(),
             telemetry: TelemetryConfig::default(),
@@ -445,12 +439,6 @@ impl EnBlogueConfig {
             return Err(EnBlogueError::invalid_config(
                 "shards",
                 "at least one pair shard is required",
-            ));
-        }
-        if self.ingest_workers == 0 {
-            return Err(EnBlogueError::invalid_config(
-                "ingest_workers",
-                "at least one ingest worker is required",
             ));
         }
         if self.snapshot.enabled() && self.snapshot.directory.is_empty() {
@@ -637,13 +625,6 @@ impl EnBlogueConfigBuilder {
         self
     }
 
-    /// Sets the ingestion partitioning worker count.
-    #[must_use]
-    pub fn ingest_workers(mut self, workers: usize) -> Self {
-        self.config.ingest_workers = workers;
-        self
-    }
-
     /// Sets the close-scoring execution path.
     #[must_use]
     pub fn scoring_mode(mut self, mode: ScoringMode) -> Self {
@@ -759,13 +740,11 @@ mod tests {
         let config = EnBlogueConfig::builder()
             .shards(8)
             .parallel_close(true)
-            .ingest_workers(3)
             .scoring_mode(ScoringMode::Scalar)
             .build()
             .unwrap();
         assert_eq!(config.shards, 8);
         assert!(config.parallel_close);
-        assert_eq!(config.ingest_workers, 3);
         assert_eq!(config.scoring_mode, ScoringMode::Scalar);
         assert_eq!(
             EnBlogueConfig::default().scoring_mode,
@@ -780,7 +759,6 @@ mod tests {
         let config = EnBlogueConfig::default();
         assert_eq!(config.shards, par.min(16), "shards picked from available parallelism");
         assert_eq!(config.parallel_close, par > 1, "parallel close on for multi-core machines");
-        assert_eq!(config.ingest_workers, par);
         assert!(config.shards >= 1);
     }
 
@@ -792,7 +770,6 @@ mod tests {
         assert!(EnBlogueConfig::builder().half_life_ms(0).build().is_err());
         assert!(EnBlogueConfig::builder().max_tracked_pairs(0).build().is_err());
         assert!(EnBlogueConfig::builder().shards(0).build().is_err());
-        assert!(EnBlogueConfig::builder().ingest_workers(0).build().is_err());
         assert!(EnBlogueConfig::builder()
             .seed_strategy(SeedStrategy::Hybrid { popularity_weight: 1.5 })
             .build()

@@ -14,10 +14,8 @@
 //! surfaces are a single implementation.
 
 use crate::config::EnBlogueConfig;
-use crate::ingest::ReplayIngest;
 use crate::snapshot::SnapshotStats;
 use crate::stages::StagePipeline;
-use enblogue_ingest::pipeline::{IngestConfig, IngestPipeline, IngestStats};
 use enblogue_types::{Document, EnBlogueError, RankingSnapshot, TagInterner, Tick};
 use std::path::Path;
 
@@ -124,46 +122,6 @@ impl EnBlogueEngine {
         self.pipeline.finish_event_stream(emit);
     }
 
-    /// [`EnBlogueEngine::run_replay`] through the shard-partitioned
-    /// parallel ingestion subsystem (`enblogue-ingest`): documents are
-    /// batched per tick, tokenized/pair-partitioned on a worker pool
-    /// behind a bounded queue, and applied to the sharded pair state one
-    /// worker per shard. Snapshots are byte-identical to the sequential
-    /// replay for any batch size, queue depth, or worker count; a worker
-    /// count of `0` uses the configuration's `ingest_workers`.
-    ///
-    /// # Panics
-    /// Panics if `ingest` is invalid (check with
-    /// [`IngestConfig::validate`] first to handle the error instead) or if
-    /// `docs` is not timestamp-sorted.
-    pub fn run_replay_ingest(
-        &mut self,
-        docs: &[Document],
-        ingest: &IngestConfig,
-    ) -> (Vec<RankingSnapshot>, IngestStats) {
-        let mut resolved = ingest.clone();
-        if resolved.workers == 0 {
-            resolved.workers = self.pipeline.config().ingest_workers;
-        }
-        // Event-time mode: re-sequence the raw arrival stream through the
-        // reorder buffer first (drops metered there), then drive the
-        // batched pipeline over the sorted survivors — its sortedness
-        // invariants hold again, and the source guard still judges every
-        // document exactly once at the sink.
-        let ordered;
-        let docs = if self.pipeline.config().event_time.enabled {
-            ordered = self.pipeline.resequence_arrivals(docs);
-            ordered.as_slice()
-        } else {
-            docs
-        };
-        let mut driver = IngestPipeline::new(resolved);
-        driver.attach_telemetry(self.pipeline.telemetry());
-        let mut sink = ReplayIngest::new(&mut self.pipeline);
-        let stats = driver.run(&mut sink, docs);
-        (sink.into_snapshots(), stats)
-    }
-
     /// Serializes the complete engine state to `path` — a length-prefixed,
     /// checksummed binary snapshot, written atomically (temp file +
     /// rename). See [`crate::snapshot`] for the format and
@@ -181,12 +139,13 @@ impl EnBlogueEngine {
 
     /// Restores an engine from a snapshot file taken under the same
     /// configuration (`config` is fingerprint-checked against the
-    /// snapshot; only the snapshot section itself may differ). The
+    /// snapshot; only the snapshot section, telemetry, `parallel_close`
+    /// and `scoring_mode` may differ). The
     /// restored engine continues exactly where the checkpoint left off:
     /// replay the tail of the stream — documents after the checkpoint
-    /// tick — through [`EnBlogueEngine::run_replay`] or
-    /// [`EnBlogueEngine::run_replay_ingest`] and rankings are
-    /// byte-identical to an uninterrupted run (pinned by
+    /// tick — through [`EnBlogueEngine::run_replay`] (or per-tick
+    /// [`EnBlogueEngine::process_docs`] + [`EnBlogueEngine::close_tick`])
+    /// and rankings are byte-identical to an uninterrupted run (pinned by
     /// `tests/stage_parity.rs`).
     ///
     /// # Errors
@@ -439,29 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn run_replay_ingest_matches_run_replay() {
-        let docs: Vec<Document> =
-            (0..120).map(|i| doc(i, i / 20, &[(i % 5) as u32, (i % 3) as u32 + 5])).collect();
-        let mut sequential = EnBlogueEngine::new(config());
-        let baseline = sequential.run_replay(&docs);
-        for (batch_size, workers) in [(1usize, 2usize), (32, 0), (512, 4)] {
-            let mut engine = EnBlogueEngine::new(config());
-            let ingest = enblogue_ingest::IngestConfig { batch_size, queue_depth: 4, workers };
-            let (snapshots, stats) = engine.run_replay_ingest(&docs, &ingest);
-            assert_eq!(snapshots, baseline, "batch={batch_size} workers={workers}");
-            assert_eq!(stats.docs, 120);
-            if workers == 0 {
-                assert_eq!(
-                    stats.workers,
-                    engine.config().ingest_workers,
-                    "auto worker count comes from the engine configuration"
-                );
-            }
-            assert_eq!(engine.metrics(), sequential.metrics());
-        }
-    }
-
-    #[test]
     fn sharded_engines_match_the_unsharded_baseline() {
         let run = |shards: usize, parallel: bool| {
             let cfg = EnBlogueConfig::builder()
@@ -602,11 +538,18 @@ mod tests {
         let mut resumed = EnBlogueEngine::resume(config(), &path).unwrap();
         assert_eq!(resumed.run_replay(&tail), expected, "run_replay tail");
 
-        // Same through the parallel ingestion pipeline.
+        // Same through the batched feed: the host closes the open
+        // checkpoint tick and the gap itself, then feeds tick slices.
         let mut resumed = EnBlogueEngine::resume(config(), &path).unwrap();
-        let ingest = enblogue_ingest::IngestConfig { batch_size: 2, queue_depth: 2, workers: 2 };
-        let (snapshots, _) = resumed.run_replay_ingest(&tail, &ingest);
-        assert_eq!(snapshots, expected, "ingest tail");
+        let spec = resumed.config().tick_spec;
+        let mut snapshots = vec![resumed.close_tick(Tick(0)), resumed.close_tick(Tick(1))];
+        for t in 2..4 {
+            let slice: Vec<Document> =
+                tail.iter().filter(|d| spec.tick_of(d.timestamp) == Tick(t)).cloned().collect();
+            resumed.process_docs(&slice);
+            snapshots.push(resumed.close_tick(Tick(t)));
+        }
+        assert_eq!(snapshots, expected, "batched tail");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -75,7 +75,6 @@
 
 pub mod config;
 pub mod engine;
-pub mod ingest;
 pub mod notify;
 pub mod ops;
 pub mod pairs;
@@ -94,7 +93,6 @@ pub use config::{
 };
 pub use enblogue_types::RankingSnapshot;
 pub use engine::EnBlogueEngine;
-pub use ingest::ReplayIngest;
 pub use notify::{PushBroker, PushSubscription, RankingUpdate};
 pub use pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
 pub use personalization::{PersonalizedRanking, UserProfile};

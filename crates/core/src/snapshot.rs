@@ -49,6 +49,7 @@
 //!   for crash recovery (`resume` + tail replay).
 
 use crate::config::{EnBlogueConfig, SnapshotConfig, TelemetryConfig};
+use crate::pairs::ScoringMode;
 use enblogue_types::{EnBlogueError, TagId, Tick, Timestamp};
 use std::path::{Path, PathBuf};
 
@@ -99,16 +100,20 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Fingerprint of every configuration knob that shapes serialized state.
 ///
 /// The snapshot section itself is excluded (changing where checkpoints go
-/// must not invalidate old checkpoints); everything else — semantic knobs
-/// *and* execution knobs — must match exactly for a resume, because the
-/// restored structures (shard pool, window lengths, sketch capacities)
-/// are sized by them.
+/// must not invalidate old checkpoints), and so are the knobs read only
+/// at run time: telemetry, `parallel_close` (read at each close) and
+/// `scoring_mode` (re-applied from the resuming configuration). Every
+/// other knob — semantic ones *and* `shards` — must match exactly for a
+/// resume, because the restored structures (shard pool, window lengths,
+/// sketch capacities) are sized by them.
 pub(crate) fn config_fingerprint(config: &EnBlogueConfig) -> u64 {
     let mut config = config.clone();
     config.snapshot = SnapshotConfig::default();
-    // Telemetry shapes no serialized state either: a checkpoint written
-    // with telemetry off must resume with it on (and vice versa).
+    // A checkpoint written with telemetry off must resume with it on (and
+    // vice versa); the same holds for the close mode and scoring path.
     config.telemetry = TelemetryConfig::default();
+    config.parallel_close = false;
+    config.scoring_mode = ScoringMode::default();
     // `Debug` output is a stable, total rendering of the plain-data config
     // struct (no maps, no addresses), so its hash is a stable fingerprint.
     fnv1a64(format!("{config:?}").as_bytes())
@@ -615,7 +620,19 @@ mod tests {
         assert_ne!(
             config_fingerprint(&base),
             config_fingerprint(&execution),
-            "execution knobs size the restored structures and are fingerprinted too"
+            "the shard count sizes the restored pool and is fingerprinted too"
+        );
+        let mut run_time = base.clone();
+        run_time.parallel_close = !run_time.parallel_close;
+        run_time.scoring_mode = match base.scoring_mode {
+            ScoringMode::Batched => ScoringMode::Scalar,
+            ScoringMode::Scalar => ScoringMode::Batched,
+        };
+        run_time.telemetry.enabled = !run_time.telemetry.enabled;
+        assert_eq!(
+            config_fingerprint(&base),
+            config_fingerprint(&run_time),
+            "knobs read only at run time must not invalidate checkpoints"
         );
     }
 }

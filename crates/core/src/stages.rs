@@ -29,9 +29,7 @@ use crate::seeds::SeedTracker;
 use crate::snapshot::{self, checkpoint_file_name, corrupt, SnapReader, SnapWriter, SnapshotStats};
 use crate::termwin::WindowedTermDists;
 use enblogue_ingest::guard::{GuardSnapshot, GuardVerdict, SourceGuard};
-use enblogue_ingest::partition::{
-    annotations_of, for_each_pair, partition_docs, PartitionSpec, PartitionedBatch,
-};
+use enblogue_ingest::partition::{annotations_of, for_each_pair, partition_docs, PartitionSpec};
 use enblogue_ingest::reorder::{PushOutcome, ReorderBuffer, ReorderSnapshot};
 use enblogue_stats::correlation::PairCounts;
 use enblogue_stats::shift::ShiftScorer;
@@ -501,7 +499,8 @@ impl PipelineState {
     /// Rebuilds pipeline state (and the host's tick cursors) from a
     /// payload produced by [`PipelineState::encode_snapshot`], under
     /// `config` — which must fingerprint-match the checkpointing
-    /// configuration (every knob except the snapshot section itself).
+    /// configuration (every knob that shapes state; see
+    /// `snapshot::config_fingerprint`).
     pub(crate) fn decode_snapshot(
         config: EnBlogueConfig,
         r: &mut SnapReader<'_>,
@@ -511,7 +510,8 @@ impl PipelineState {
         if fingerprint != snapshot::config_fingerprint(&config) {
             return Err(EnBlogueError::SnapshotConfigMismatch(
                 "the snapshot was taken under a different engine configuration; resume with the \
-                 exact configuration that produced it (the snapshot section itself may differ)"
+                 configuration that produced it (only the snapshot section, telemetry, \
+                 parallel_close and scoring_mode may differ)"
                     .into(),
             ));
         }
@@ -1114,8 +1114,7 @@ impl TickStage for TelemetryDumpStage {
 ///
 /// This is the single implementation of EnBlogue's tick semantics; every
 /// execution surface wraps it. Feed with [`StagePipeline::process_doc`]
-/// (or batched via [`StagePipeline::process_docs`] /
-/// [`StagePipeline::process_partitioned`]), close with
+/// (or batched via [`StagePipeline::process_docs`]), close with
 /// [`StagePipeline::close_tick`] or the gap-filling
 /// [`StagePipeline::close_through`], or drive a whole archive with
 /// [`StagePipeline::run_replay`]. Custom stages appended with
@@ -1311,12 +1310,21 @@ impl StagePipeline {
     ///
     /// Semantically identical to calling [`StagePipeline::process_doc`] per
     /// document — no tick is closed, and rankings are byte-identical for
-    /// any batch split. Internally this is the batch fast path: the slice
-    /// is tokenized and pair-partitioned once
-    /// ([`enblogue_ingest::partition::partition_docs`]) and the
-    /// observations are applied to the sharded registry in one pass —
-    /// shard-parallel when the configuration enables `parallel_close`.
+    /// any batch split. Internally the slice is tokenized and
+    /// pair-partitioned by shard once
+    /// ([`enblogue_ingest::partition::partition_docs`]). Window bookkeeping
+    /// (seeds, document volume, term distributions) then runs per document
+    /// in stream order, and the bucketed pair observations are applied to
+    /// the sharded registry in one pass — one worker per shard when
+    /// `parallel_close` is set and the batch is large enough to pay for
+    /// the fan-out. Per-shard write order is exactly the sequential
+    /// subsequence, and no close-phase reader runs until the tick closes,
+    /// so the result is the same for any shard count and either mode.
     pub fn process_docs(&mut self, docs: &[Document]) {
+        /// Below this many observations a thread scope costs more than the
+        /// serial apply loop it replaces; small batches stay on the caller
+        /// thread. A pure execution threshold — results are identical.
+        const PARALLEL_APPLY_MIN_OBSERVATIONS: usize = 512;
         if self.state.guard.is_some() {
             // Guard verdicts must interleave with feeding in stream
             // order (each admission spends tokens and records dedup
@@ -1334,50 +1342,14 @@ impl StagePipeline {
             [doc] => self.process_doc(doc),
             _ => {
                 let partitioned = partition_docs(docs, &self.partition_spec());
-                self.process_partitioned(docs, &partitioned);
+                for doc in docs {
+                    self.ingest_doc(doc, true);
+                }
+                let parallel = self.state.config.parallel_close
+                    && partitioned.observations >= PARALLEL_APPLY_MIN_OBSERVATIONS;
+                self.state.registry.ingest_partitioned(partitioned.buckets(), parallel);
             }
         }
-    }
-
-    /// Applies a batch whose pair observations were already partitioned by
-    /// shard (the entry point of `enblogue_ingest`'s pipeline, where the
-    /// partitioning ran on a worker thread).
-    ///
-    /// Window bookkeeping (seeds, document volume, term distributions)
-    /// runs per document in stream order; the pre-bucketed pair
-    /// observations are applied to the registry in one fan-out, one worker
-    /// per shard when `parallel_close` is set. Equivalent to per-document
-    /// feeding for any shard count and either mode: per-shard write order
-    /// is exactly the sequential subsequence, and no close-phase reader
-    /// runs until the tick closes.
-    ///
-    /// # Panics
-    /// Panics if `partitioned` was built for a different document slice or
-    /// shard count.
-    pub fn process_partitioned(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
-        /// Below this many observations a thread scope costs more than the
-        /// serial apply loop it replaces; small batches stay on the caller
-        /// thread. A pure execution threshold — results are identical.
-        const PARALLEL_APPLY_MIN_OBSERVATIONS: usize = 512;
-        if self.state.guard.is_some() {
-            // The batch was partitioned before the guard could judge its
-            // documents (partitioning runs on worker threads that hold no
-            // guard state), so its buckets may contain observations of
-            // documents about to be rejected. Discard the buckets and
-            // feed per document — the guard then judges each exactly
-            // once, identically to the serial path.
-            for doc in docs {
-                self.process_doc(doc);
-            }
-            return;
-        }
-        assert_eq!(partitioned.docs, docs.len(), "partitioned batch does not match the slice");
-        for doc in docs {
-            self.ingest_doc(doc, true);
-        }
-        let parallel = self.state.config.parallel_close
-            && partitioned.observations >= PARALLEL_APPLY_MIN_OBSERVATIONS;
-        self.state.registry.ingest_partitioned(partitioned.buckets(), parallel);
     }
 
     /// Closes `tick` by running every stage's close phase in order and
@@ -1452,7 +1424,7 @@ impl StagePipeline {
     /// (a pipeline fed mid-tick, or restored from a mid-tick checkpoint)
     /// — up to `tick - 1`, calling `emit` per snapshot. A no-op when the
     /// cursor is already caught up or nothing has been fed at all.
-    pub fn close_gap_before(&mut self, tick: Tick, emit: impl FnMut(RankingSnapshot)) {
+    fn close_gap_before(&mut self, tick: Tick, emit: impl FnMut(RankingSnapshot)) {
         if let Some(floor) = self.last_closed.or(self.first_open) {
             if tick > floor {
                 self.close_through(tick.prev(), emit);
@@ -1583,31 +1555,6 @@ impl StagePipeline {
         let tick = self.state.config.tick_spec.tick_of(doc.timestamp);
         self.close_gap_before(tick, emit);
         self.process_doc(doc);
-    }
-
-    /// Runs a raw arrival slice through the reorder buffer and returns
-    /// the surviving documents in event-tick order (drop counters fire
-    /// as usual); the buffer is left flushed. With event time disabled
-    /// the slice passes through unchanged. This is the batched
-    /// counterpart of [`offer_doc`](Self::offer_doc) for hosts that feed
-    /// an ingest pipeline rather than per-document calls — the returned
-    /// slice is sorted, so the batched feeders' invariants hold.
-    pub fn resequence_arrivals(&mut self, docs: &[Document]) -> Vec<Document> {
-        let Some(mut buffer) = self.state.event.take() else { return docs.to_vec() };
-        let mut ordered = Vec::with_capacity(docs.len());
-        for doc in docs {
-            match buffer.push(doc.clone()) {
-                PushOutcome::Buffered => {}
-                PushOutcome::Late => self.state.probes.late_drops.inc(),
-                PushOutcome::Overflow => self.state.probes.overflow_drops.inc(),
-            }
-            // Draining as the watermark advances (rather than once at the
-            // end) keeps held memory at the cap, not the stream length.
-            buffer.drain_ready(&mut ordered);
-        }
-        buffer.flush(&mut ordered);
-        self.state.event = Some(buffer);
-        ordered
     }
 
     /// The most recently closed tick — the resume cursor: a pipeline

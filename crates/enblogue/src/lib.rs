@@ -15,7 +15,7 @@
 //! | [`stats`] | `enblogue-stats` | correlation measures, divergences, predictors |
 //! | [`stream`] | `enblogue-stream` | push-based operator DAG + executors |
 //! | [`telemetry`] | `enblogue-telemetry` | metrics registry, latency histograms, span tracing, exporters |
-//! | [`ingest`] | `enblogue-ingest` | shard-partitioned, batched, backpressured ingestion |
+//! | [`ingest`] | `enblogue-ingest` | shard partitioning pre-pass, event-time reorder buffer, source guard |
 //! | [`entity`] | `enblogue-entity` | gazetteer + ontology entity tagging |
 //! | [`core`] | `enblogue-core` | the EnBlogue engine, personalization, push broker |
 //! | [`serve`] | `enblogue-serve` | epoch-versioned read snapshots, lock-free concurrent query handle |
@@ -35,12 +35,12 @@
 //! single implementation of the tick semantics and thin adapters above it:
 //!
 //! ```text
-//!     EnBlogueEngine          EngineOp (DAG sink)        IngestPipeline
-//!     (process_doc[s] /       (Event::Doc / DocBatch /   (bounded queue →
-//!      close_tick)             TickBoundary, sync or      partition workers →
-//!           │                  threaded executor)         re-sequenced apply)
-//!           │                        │                          │
-//!           └────────────┬──────────┴──────────────────────────┘
+//!     EnBlogueEngine                EngineOp (DAG sink)
+//!     (process_doc[s] /             (Event::Doc / DocBatch /
+//!      offer_doc / close_tick)       TickBoundary, sync or
+//!           │                        threaded executor)
+//!           │                              │
+//!           └────────────┬─────────────────┘
 //!                        ▼
 //!        enblogue_core::stages::StagePipeline
 //!   seed-select → term-window → pair-count → shift-score → rank-emit
@@ -67,12 +67,13 @@
 //! * `enblogue-stream` owns *execution*: the operator DAG with structural
 //!   plan sharing, the synchronous and threaded executors, and the
 //!   [`stream::exec::fanout`] primitive that drives shard-parallel close.
-//! * `enblogue-ingest` owns the *feed path*: the pure partitioning
-//!   pre-pass ([`ingest::partition_docs`] buckets each batch's pair
-//!   observations by shard) and the backpressured
-//!   [`ingest::IngestPipeline`] (bounded work queue, partitioning worker
-//!   pool, deterministic re-sequencing). `enblogue-core` implements the
-//!   sink side over the stage pipeline, so both surfaces ingest in
+//! * `enblogue-ingest` owns the pure front of the *feed path*: the
+//!   partitioning pre-pass ([`ingest::partition_docs`] buckets each
+//!   batch's pair observations by shard), the event-time
+//!   [`ingest::ReorderBuffer`] and the per-source [`ingest::SourceGuard`].
+//!   The stage pipeline's one batched feed,
+//!   [`core::stages::StagePipeline::process_docs`], runs the pre-pass and
+//!   applies the buckets shard-parallel, so both surfaces ingest in
 //!   shard-partitioned batches.
 //! * `enblogue-core` owns the *semantics*: the five
 //!   [`core::stages::TickStage`]s, the
@@ -89,15 +90,15 @@
 //!   number of threads while ingest continues, and per-user
 //!   [`serve::Subscription`]s share each publish's engine pass.
 //!
-//! Sharding (`EnBlogueConfig::shards`), shard-parallel close
-//! (`EnBlogueConfig::parallel_close`) and the entire ingestion subsystem
-//! (batch size, queue depth, worker count) are pure execution knobs:
-//! rankings are byte-identical for any setting (enforced by
-//! `tests/stage_parity.rs`). Batched ingestion
-//! ([`core::engine::EnBlogueEngine::process_docs`], or
-//! [`core::engine::EnBlogueEngine::run_replay_ingest`] for the fully
-//! parallel path) is the hot entry point for replay drivers; defaults for
-//! the execution knobs are derived from `available_parallelism`.
+//! Sharding (`EnBlogueConfig::shards`), shard-parallel close and apply
+//! (`EnBlogueConfig::parallel_close`), the scoring path and the batch
+//! split of the feed are pure execution knobs: rankings are
+//! byte-identical for any setting (enforced by `tests/stage_parity.rs`).
+//! Batched ingestion of tick slices
+//! ([`core::engine::EnBlogueEngine::process_docs`]) is the hot entry
+//! point for replay drivers; [`core::engine::EnBlogueEngine::run_replay`]
+//! is the per-document reference. Defaults for the shard count and close
+//! mode are derived from `available_parallelism`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -121,7 +122,6 @@ pub mod prelude {
         SourceGuardConfig, TelemetryConfig,
     };
     pub use enblogue_core::engine::{EnBlogueEngine, EngineMetrics};
-    pub use enblogue_core::ingest::ReplayIngest;
     pub use enblogue_core::notify::{PushBroker, PushSubscription, RankingUpdate};
     pub use enblogue_core::ops::{EngineOp, EntityTagOp};
     pub use enblogue_core::pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
@@ -140,7 +140,6 @@ pub mod prelude {
     pub use enblogue_entity::ontology::{Ontology, OntologyBuilder};
     pub use enblogue_entity::tagger::EntityTagger;
     pub use enblogue_ingest::partition::{partition_docs, PartitionSpec, PartitionedBatch};
-    pub use enblogue_ingest::pipeline::{IngestConfig, IngestPipeline, IngestSink, IngestStats};
     pub use enblogue_serve::{QueryHandle, ServeConfig, Subscription, TickView};
     pub use enblogue_stats::correlation::CorrelationMeasure;
     pub use enblogue_stats::predict::PredictorKind;

@@ -26,9 +26,9 @@
 //! Like the reorder buffer, the guard is a **pure function of the
 //! admitted document sequence**: refill and expiry advance on event
 //! ticks carried by the stream itself, never on wall-clock time or close
-//! scheduling. That is what lets the serial replay path and the batched
-//! `IngestPipeline` path reach byte-identical guard state (pinned in
-//! `tests/stage_parity.rs`), and what makes
+//! scheduling. That is what lets per-document and batched feeding reach
+//! byte-identical guard state (pinned in `tests/stage_parity.rs`), and
+//! what makes
 //! [`SourceGuard::to_snapshot`] an exact checkpoint.
 
 use enblogue_types::{DocId, FxHashMap, SourceId, Tick};

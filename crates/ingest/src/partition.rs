@@ -9,14 +9,15 @@
 //! and because the pre-pass preserves document order within each bucket,
 //! the per-shard write sequence is identical to sequential feeding.
 //! Routing is a pure function of the key and the shard count, so a batch
-//! bucketed on a worker thread stays valid however long it waits.
+//! needs nothing from the engine but its [`PartitionSpec`].
 
 use enblogue_types::{shard_of_packed, Document, TagId, TagPair, Tick, TickSpec};
 
 /// Everything the partitioner needs to know about the consuming engine.
 ///
-/// Mirrors the relevant slice of `EnBlogueConfig`; sinks hand it out so
-/// partitioning workers can run far away from the engine state.
+/// Mirrors the relevant slice of `EnBlogueConfig`; the stage pipeline
+/// hands it out (`StagePipeline::partition_spec`) so the pre-pass can run
+/// without touching engine state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Stream-time discretisation (assigns each document its tick).

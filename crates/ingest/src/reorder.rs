@@ -31,8 +31,7 @@
 //! * **Pure function of the arrival stream.** No wall clock anywhere:
 //!   sealing advances only when arrivals advance `max_tick_seen`, so the
 //!   same arrival sequence always produces the same emission sequence and
-//!   the same drops — replays are deterministic, and the serial and
-//!   batched ingest paths agree byte-for-byte.
+//!   the same drops, so replays are deterministic.
 //! * **Invisible on clean input.** For an already-sorted stream the
 //!   emission order equals the arrival order and nothing is ever late,
 //!   so downstream state is byte-identical to feeding directly

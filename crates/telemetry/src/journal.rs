@@ -1,7 +1,7 @@
 //! The bounded ring-buffer event journal.
 //!
 //! Pipeline milestones (tick closes, evictions, checkpoint
-//! writes and failures, ingest stalls, restores) are rare — per tick,
+//! writes and failures, restores, drops, publishes) are rare — per tick,
 //! not per document — so the journal trades the metric cells' atomics
 //! for one short mutexed critical section per event. The ring is
 //! preallocated at construction and events are `Copy`, so recording
@@ -28,9 +28,6 @@ pub enum EventKind {
     CheckpointWrite,
     /// A checkpoint write failed. `a` = consecutive failures so far.
     CheckpointFailure,
-    /// An ingest feeder blocked on a full worker queue. `a` = stall
-    /// micros.
-    IngestStall,
     /// The engine restored from a snapshot. `a` = restore micros.
     Restore,
     /// Documents dropped at a tick close for arriving beyond the
@@ -57,7 +54,6 @@ impl EventKind {
             EventKind::Eviction => "eviction",
             EventKind::CheckpointWrite => "checkpoint_write",
             EventKind::CheckpointFailure => "checkpoint_failure",
-            EventKind::IngestStall => "ingest_stall",
             EventKind::Restore => "restore",
             EventKind::LateDrop => "late_drop",
             EventKind::DedupDrop => "dedup_drop",

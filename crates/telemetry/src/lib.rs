@@ -25,7 +25,7 @@
 //!    with telemetry on and off.
 //!
 //! The metric naming scheme is dotted lowercase (`close.score.ns`,
-//! `ingest.stall.ns`), with the unit as the last segment; exporters
+//! `snapshot.write.ns`), with the unit as the last segment; exporters
 //! sanitize for their format. See `docs/OBSERVABILITY.md` for the full
 //! catalog.
 
@@ -59,7 +59,7 @@ macro_rules! span {
 /// One engine's telemetry: the metric registry plus the event journal.
 ///
 /// Cheap to clone (handles share state), so every pipeline layer —
-/// stages, the pair registry, the ingest pipeline — can hold its own
+/// stages, the pair registry, the serving tier — can hold its own
 /// copy and register the instruments it owns.
 #[derive(Clone)]
 pub struct Telemetry {

@@ -59,7 +59,7 @@ fn single_massive_document_does_not_explode_pair_state() {
 #[test]
 fn duplicate_document_ids_are_tolerated() {
     // The engine treats ids as opaque; duplicate ids simply count twice
-    // (deduplication is the ingest pipeline's job, not the tracker's).
+    // (deduplication is the source guard's job, not the tracker's).
     let mut engine = EnBlogueEngine::new(small_config());
     engine.process_doc(&doc(7, 0, &[1, 2]));
     engine.process_doc(&doc(7, 0, &[1, 2]));

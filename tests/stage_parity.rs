@@ -39,6 +39,42 @@ fn engine_snapshots(config: EnBlogueConfig, docs: &[Document]) -> Vec<RankingSna
     EnBlogueEngine::new(config).run_replay(docs)
 }
 
+/// One snapshot sequence via the batched feed: each tick's slice goes to
+/// `process_docs` in chunks of `chunk` documents (`0` = the whole tick in
+/// one call), then the tick closes — gap ticks included, so correlation
+/// histories stay tick-aligned. Closing starts after the engine's last
+/// closed tick, so a restored engine continues where its checkpoint left
+/// off. Also returns the most pair observations one `process_docs` call
+/// carried.
+fn batched_snapshots(
+    engine: &mut EnBlogueEngine,
+    docs: &[Document],
+    chunk: usize,
+) -> (Vec<RankingSnapshot>, usize) {
+    let spec = engine.pipeline().partition_spec();
+    let mut next = engine.pipeline().last_closed().map(Tick::next);
+    let mut snapshots = Vec::new();
+    let mut most_observations = 0;
+    let mut rest = docs;
+    while let Some(first) = rest.first() {
+        let tick = spec.tick_spec.tick_of(first.timestamp);
+        let len = rest.partition_point(|d| spec.tick_spec.tick_of(d.timestamp) == tick);
+        let mut gap = next.unwrap_or(tick);
+        while gap < tick {
+            snapshots.push(engine.close_tick(gap));
+            gap = gap.next();
+        }
+        for call in rest[..len].chunks(if chunk == 0 { len } else { chunk }) {
+            most_observations = most_observations.max(partition_docs(call, &spec).observations);
+            engine.process_docs(call);
+        }
+        snapshots.push(engine.close_tick(tick));
+        next = Some(tick.next());
+        rest = &rest[len..];
+    }
+    (snapshots, most_observations)
+}
+
 /// One snapshot sequence via the DAG (`PipelineBuilder` → `EngineOp` sink).
 fn dag_snapshots(
     config: EnBlogueConfig,
@@ -93,11 +129,12 @@ fn sharded_dag_matches_unsharded_engine() {
 
 #[test]
 fn ingestion_mode_is_invisible_in_rankings() {
-    // The ingestion-parity contract of `enblogue-ingest`: for one NYT
+    // The ingestion-parity contract of the batched feed: for one NYT
     // replay, rankings are byte-identical across (a) sequential
     // per-document feeding, (b) `Event::DocBatch` tick slices through the
-    // DAG, and (c) the shard-parallel `IngestPipeline`, for several
-    // (batch size × worker count) combinations and shard counts.
+    // DAG, and (c) `process_docs` over every tick slice split into chunks
+    // of 1, 7, 64 or the whole tick, for several shard counts, with
+    // serial and shard-parallel application.
     let archive = archive();
 
     // (a) Sequential per-document feeding — the semantic reference.
@@ -109,25 +146,69 @@ fn ingestion_mode_is_invisible_in_rankings() {
     // slices, `EngineOp` takes the partitioned batch fast path.
     assert_eq!(dag_snapshots(config(4, true), &archive, false), baseline, "DocBatch DAG");
 
-    // (c) The parallel ingestion pipeline across the knob grid.
-    for (batch_size, workers) in [(1usize, 1usize), (64, 2), (64, 8), (512, 4), (97, 3)] {
-        let mut engine = EnBlogueEngine::new(config(4, false));
-        let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
-        let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
-        assert_eq!(snapshots, baseline, "ingest batch={batch_size} workers={workers}");
-        assert_eq!(stats.docs, archive.docs.len() as u64);
-        assert_eq!(stats.workers, workers);
+    // (c) The batched feed across the chunk × shards × close-mode grid.
+    for shards in [1usize, 4, 8] {
+        for parallel in [false, true] {
+            for chunk in [1usize, 7, 64, 0] {
+                let mut engine = EnBlogueEngine::new(config(shards, parallel));
+                let (snapshots, most) = batched_snapshots(&mut engine, &archive.docs, chunk);
+                assert_eq!(snapshots, baseline, "chunk={chunk} shards={shards} par={parallel}");
+                assert_eq!(engine.metrics().docs_processed, archive.docs.len() as u64);
+                if chunk == 0 {
+                    // Whole-tick calls are large enough to take the
+                    // shard-parallel apply branch when it is enabled.
+                    assert!(most >= 512, "a whole tick carries {most} observations");
+                }
+            }
+        }
     }
+}
 
-    // Shard-parallel application on top of multi-worker partitioning.
-    for (shards, batch_size, workers) in [(16usize, 128usize, 4usize), (8, 64, 2), (8, 256, 4)] {
-        let mut engine = EnBlogueEngine::new(config(shards, true));
-        let ingest = IngestConfig { batch_size, queue_depth: 8, workers };
-        let (snapshots, _) = engine.run_replay_ingest(&archive.docs, &ingest);
-        assert_eq!(
-            snapshots, baseline,
-            "{shards} shards, parallel close, batch={batch_size} workers={workers}"
-        );
+#[test]
+fn guarded_batched_feed_matches_per_document_feeding() {
+    // With the source guard on, `process_docs` judges every document in
+    // stream order, so any chunking reaches the rankings, drop counters
+    // and guard state of per-document feeding. The stream repeats every
+    // fifth document (dedup drops) and the rate cap sits below a tick's
+    // volume (rate drops), so the guard really rejects documents.
+    let archive = archive();
+    let mut docs = Vec::with_capacity(archive.docs.len() * 6 / 5 + 1);
+    for (i, doc) in archive.docs.iter().enumerate() {
+        docs.push(doc.clone());
+        if i % 5 == 0 {
+            docs.push(doc.clone());
+        }
+    }
+    let guarded = || {
+        EnBlogueConfig::builder()
+            .tick_spec(TickSpec::daily())
+            .window_ticks(7)
+            .seed_count(25)
+            .min_seed_count(3)
+            .top_k(10)
+            .shards(4)
+            .parallel_close(true)
+            .source_guard(SourceGuardConfig {
+                enabled: true,
+                dedup_window_ticks: 3,
+                rate_limit_per_tick: 60.0,
+                rate_burst: 0.0,
+            })
+            .build()
+            .unwrap()
+    };
+
+    let mut serial = EnBlogueEngine::new(guarded());
+    let baseline = serial.run_replay(&docs);
+    assert!(serial.metrics().docs_deduped > 0, "duplicates must be rejected");
+    assert!(serial.metrics().docs_rate_capped > 0, "the cap must bite");
+    assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
+
+    for chunk in [1usize, 7, 64, 0] {
+        let mut engine = EnBlogueEngine::new(guarded());
+        let (snapshots, _) = batched_snapshots(&mut engine, &docs, chunk);
+        assert_eq!(snapshots, baseline, "guarded chunk={chunk}");
+        assert_eq!(engine.metrics(), serial.metrics(), "guarded chunk={chunk}: counters");
     }
 }
 
@@ -137,7 +218,7 @@ fn scoring_mode_is_invisible_in_rankings() {
     // default) and the scalar reference walk are the same computation
     // down to the bit pattern, so on one replay their snapshot sequences
     // are byte-identical — across shard pools, close modes, and the
-    // parallel-ingestion grid.
+    // batched feed.
     let archive = archive();
 
     let with_scoring = |shards: usize, parallel: bool, scoring: ScoringMode| {
@@ -172,13 +253,13 @@ fn scoring_mode_is_invisible_in_rankings() {
         }
     }
 
-    // Batched scoring under the parallel ingestion pipeline.
-    for (batch_size, workers) in [(64usize, 2usize), (256, 4)] {
-        let mut engine = EnBlogueEngine::new(with_scoring(4, true, ScoringMode::Batched));
-        let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
-        let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
-        assert_eq!(snapshots, baseline, "batched ingest batch={batch_size} workers={workers}");
-        assert_eq!(stats.docs, archive.docs.len() as u64);
+    // Both scoring paths under the batched feed with shard-parallel apply.
+    for scoring in [ScoringMode::Scalar, ScoringMode::Batched] {
+        for chunk in [64usize, 0] {
+            let mut engine = EnBlogueEngine::new(with_scoring(4, true, scoring));
+            let (snapshots, _) = batched_snapshots(&mut engine, &archive.docs, chunk);
+            assert_eq!(snapshots, baseline, "batched feed scoring={scoring:?} chunk={chunk}");
+        }
     }
 }
 
@@ -188,8 +269,8 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
     // replay, (a) periodic checkpointing changes no ranking, and (b)
     // checkpoint at a tick + restore into a fresh engine + replay of the
     // tail produces byte-identical snapshot sequences to the
-    // uninterrupted run — across shard pools, close modes, and the
-    // parallel-ingestion worker grid.
+    // uninterrupted run — across shard pools, close modes, and batch
+    // splits of the tail.
     use enblogue::core::snapshot::checkpoint_file_name;
 
     let archive = archive();
@@ -248,22 +329,83 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
         let tail = resumed.run_replay(&archive.docs[tail_from..]);
         assert_eq!(tail, baseline[split_at..], "{name}: tail replay after restore");
 
-        // (c) The same restore driven through the parallel ingestion
-        // pipeline (partition workers + shard-parallel apply).
-        for (batch_size, workers) in [(64usize, 2usize), (128, 4)] {
+        // (c) The same restore driven through the batched feed
+        // (chunked tick slices, shard-parallel apply where enabled).
+        for chunk in [7usize, 0] {
             let mut resumed = EnBlogueEngine::resume(resume_config.clone(), &file).unwrap();
-            let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
-            let (tail, stats) = resumed.run_replay_ingest(&archive.docs[tail_from..], &ingest);
+            let (tail, _) = batched_snapshots(&mut resumed, &archive.docs[tail_from..], chunk);
+            assert_eq!(tail, baseline[split_at..], "{name}: batched tail chunk={chunk}");
             assert_eq!(
-                tail,
-                baseline[split_at..],
-                "{name}: ingest tail batch={batch_size} workers={workers}"
+                resumed.metrics().docs_processed,
+                archive.docs.len() as u64,
+                "{name}: every document counted once across checkpoint and tail"
             );
-            assert_eq!(stats.docs, (archive.docs.len() - tail_from) as u64);
         }
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn resume_across_run_time_knobs_is_invisible_in_rankings() {
+    // `parallel_close` and `scoring_mode` shape no serialized state (the
+    // close mode is read at each close, the scoring path re-applied from
+    // the resuming configuration), so a checkpoint written under one
+    // setting resumes under any other and replays the tail byte for byte.
+    // The shard count sizes the restored pool and still has to match.
+    use enblogue::core::snapshot::checkpoint_file_name;
+    use enblogue::types::EnBlogueError;
+
+    let archive = archive();
+    let baseline = engine_snapshots(config(1, false), &archive.docs);
+    let split = Tick(29);
+    let split_at = baseline.iter().position(|s| s.tick == split).expect("tick 29 closes") + 1;
+    let tail_from = archive
+        .docs
+        .iter()
+        .position(|d| TickSpec::daily().tick_of(d.timestamp) > split)
+        .expect("documents after the split");
+    let build = |shards: usize, parallel: bool, scoring: ScoringMode| {
+        EnBlogueConfig::builder()
+            .tick_spec(TickSpec::daily())
+            .window_ticks(7)
+            .seed_count(25)
+            .min_seed_count(3)
+            .top_k(10)
+            .shards(shards)
+            .parallel_close(parallel)
+            .scoring_mode(scoring)
+    };
+
+    let dir = std::env::temp_dir().join(format!("enblogue-parity-knobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = build(4, false, ScoringMode::Batched)
+        .snapshot_every(10, dir.to_str().unwrap())
+        .build()
+        .unwrap();
+    assert_eq!(EnBlogueEngine::new(writer).run_replay(&archive.docs), baseline);
+    let file = dir.join(checkpoint_file_name(split));
+
+    for (parallel, scoring) in
+        [(true, ScoringMode::Batched), (false, ScoringMode::Scalar), (true, ScoringMode::Scalar)]
+    {
+        let resume_config = build(4, parallel, scoring).build().unwrap();
+        let mut resumed = EnBlogueEngine::resume(resume_config.clone(), &file)
+            .unwrap_or_else(|e| panic!("par={parallel} scoring={scoring:?}: {e}"));
+        let tail = resumed.run_replay(&archive.docs[tail_from..]);
+        assert_eq!(tail, baseline[split_at..], "par={parallel} scoring={scoring:?}");
+
+        let mut resumed = EnBlogueEngine::resume(resume_config, &file).unwrap();
+        let (tail, _) = batched_snapshots(&mut resumed, &archive.docs[tail_from..], 0);
+        assert_eq!(tail, baseline[split_at..], "batched par={parallel} scoring={scoring:?}");
+    }
+
+    let reshaped = build(8, false, ScoringMode::Batched).build().unwrap();
+    assert!(matches!(
+        EnBlogueEngine::resume(reshaped, &file),
+        Err(EnBlogueError::SnapshotConfigMismatch(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -328,33 +470,12 @@ fn telemetry_is_invisible_in_rankings() {
 
 #[test]
 fn batched_ingestion_matches_streamed_ingestion() {
+    // Whole tick slices through `process_docs` against the streamed
+    // per-document replay, on the default serial-close pool.
     let archive = archive();
     let cfg = config(4, false);
-    let spec = cfg.tick_spec;
-
-    // Batched: hand each tick's slice to `process_docs`, then close —
-    // including empty gap ticks, exactly like the streamed replay does,
-    // so correlation histories stay tick-aligned in both runs.
     let mut engine = EnBlogueEngine::new(cfg.clone());
-    let mut batched = Vec::new();
-    let mut next_to_close = spec.tick_of(archive.docs[0].timestamp);
-    let mut start = 0;
-    while start < archive.docs.len() {
-        let tick = spec.tick_of(archive.docs[start].timestamp);
-        while next_to_close < tick {
-            batched.push(engine.close_tick(next_to_close));
-            next_to_close = next_to_close.next();
-        }
-        let end = archive.docs[start..]
-            .iter()
-            .position(|d| spec.tick_of(d.timestamp) > tick)
-            .map_or(archive.docs.len(), |offset| start + offset);
-        engine.process_docs(&archive.docs[start..end]);
-        batched.push(engine.close_tick(tick));
-        next_to_close = tick.next();
-        start = end;
-    }
-
+    let (batched, _) = batched_snapshots(&mut engine, &archive.docs, 0);
     let streamed = engine_snapshots(cfg, &archive.docs);
     assert_eq!(batched, streamed);
 }
@@ -404,27 +525,4 @@ fn event_time_layer_is_invisible_on_clean_input() {
         assert_eq!(m.docs_rate_capped, 0, "event={event} guard={guard}");
         assert_eq!(m.docs_processed, archive.docs.len() as u64, "every document admitted");
     }
-}
-
-#[test]
-fn event_time_batched_ingest_matches_serial_offering() {
-    // With the full hardened stack on, the batched feeder (resequence +
-    // shard-parallel `IngestPipeline`) and the per-arrival serial path
-    // must still agree byte-for-byte — drops included.
-    let archive = archive();
-    let cfg = hardened_config(true, true);
-
-    let mut serial = EnBlogueEngine::new(cfg.clone());
-    let mut from_serial = Vec::new();
-    for doc in &archive.docs {
-        serial.offer_doc(doc, |s| from_serial.push(s));
-    }
-    serial.finish_stream(|s| from_serial.push(s));
-
-    let mut batched = EnBlogueEngine::new(cfg);
-    let ingest = IngestConfig { batch_size: 128, queue_depth: 4, workers: 2 };
-    let (from_batched, _) = batched.run_replay_ingest(&archive.docs, &ingest);
-
-    assert_eq!(from_batched, from_serial);
-    assert_eq!(batched.metrics(), serial.metrics());
 }
